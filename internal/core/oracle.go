@@ -35,12 +35,14 @@ func ChooseOperatingPoint(m *power.Model, table *soc.OPPTable, demandCyclesPerSe
 	}
 	best := OperatingPoint{PredictedWatts: math.Inf(1)}
 	feasible := false
+	points := table.Points()
+	loads := make([]power.CoreLoad, maxCores)
 	for n := 1; n <= maxCores; n++ {
-		for _, opp := range table.Points() {
+		for _, opp := range points {
 			if !power.CapacityMet(n, opp, demandCyclesPerSec) {
 				continue
 			}
-			watts, err := m.PredictWatts(n, opp, demandCyclesPerSec, maxCores)
+			watts, err := m.PredictWattsInto(loads, n, opp, demandCyclesPerSec, maxCores)
 			if err != nil {
 				return OperatingPoint{}, fmt.Errorf("core: predicting (%d,%v): %w", n, opp.Freq, err)
 			}
@@ -53,7 +55,7 @@ func ChooseOperatingPoint(m *power.Model, table *soc.OPPTable, demandCyclesPerSe
 	if !feasible {
 		// Demand exceeds the whole SoC: run everything flat out.
 		opp := table.Max()
-		watts, err := m.PredictWatts(maxCores, opp, demandCyclesPerSec, maxCores)
+		watts, err := m.PredictWattsInto(loads, maxCores, opp, demandCyclesPerSec, maxCores)
 		if err != nil {
 			return OperatingPoint{}, err
 		}
@@ -70,12 +72,14 @@ func SweepOperatingPoints(m *power.Model, table *soc.OPPTable, demandCyclesPerSe
 		return nil, errors.New("core: sweep needs a model and table")
 	}
 	out := make([]OperatingPoint, 0, maxCores*table.Len())
+	points := table.Points()
+	loads := make([]power.CoreLoad, maxCores)
 	for n := 1; n <= maxCores; n++ {
-		for _, opp := range table.Points() {
+		for _, opp := range points {
 			if !power.CapacityMet(n, opp, demandCyclesPerSec) {
 				continue
 			}
-			watts, err := m.PredictWatts(n, opp, demandCyclesPerSec, maxCores)
+			watts, err := m.PredictWattsInto(loads, n, opp, demandCyclesPerSec, maxCores)
 			if err != nil {
 				return nil, err
 			}
@@ -151,147 +155,281 @@ type ClusterOperatingPoint struct {
 	OPP   soc.OPP
 }
 
-// ChooseClusterOperatingPoints generalizes the §4.2 exhaustive search to a
+// ChooseClusterOperatingPoints generalizes the §4.2 search to a
 // heterogeneous SoC: it jointly minimizes predicted power over every
 // per-cluster (cores, frequency) combination whose aggregate capacity
 // serves the demand, pricing each candidate with the per-cluster models
 // (demand split proportional to capacity — the balanced-scheduler
 // assumption of §3.2) plus the platform floor paid once. Any cluster may
 // park entirely as long as at least one core stays online somewhere. Ties
-// break towards fewer total cores, then lower aggregate capacity. When even
-// the whole SoC flat out cannot serve the demand it returns the full-blast
-// configuration, mirroring the homogeneous fallback.
+// break towards fewer total cores, then lower aggregate capacity, then the
+// first candidate in walk order (park, then cores ascending × OPP
+// ascending, cluster 0 outermost). When even the whole SoC flat out cannot
+// serve the demand it returns the full-blast configuration, mirroring the
+// homogeneous fallback.
+//
+// The search is an exact branch and bound over that walk. Every active
+// cluster runs at the same utilization D / C_total, and each cluster's
+// price is nondecreasing in its utilization, so a partial assignment is
+// bounded below by:
+//
+//   - tub, the capacity so far plus every unassigned cluster's largest
+//     capacity, summed in walk order. Every leaf below has capacity ≤ tub,
+//     so tub < demand prunes an infeasible subtree outright (and an
+//     overloaded SoC falls through to the fallback without a walk);
+//   - lb, the floor plus each assigned cluster priced at tub (a larger
+//     total means a smaller share, hence lower utilization and watts)
+//     plus each unassigned cluster's cheapest option at zero utilization,
+//     summed in the leaf's own order.
+//
+// Float add, mul and div are monotone, so lb is at most the price the leaf
+// itself computes, bit for bit. A subtree is cut only when lb exceeds the
+// incumbent strictly, so no leaf that could win or tie is skipped; leaves
+// are visited in walk order and priced with the same float expressions, so
+// the choice, its watts bits and its tie-break equal the exhaustive walk's.
 func ChooseClusterOperatingPoints(baseWatts float64, models []*power.Model, tables []*soc.OPPTable, clusterCores []int, demandCyclesPerSec float64) ([]ClusterOperatingPoint, float64, error) {
-	n := len(models)
-	if n == 0 || len(tables) != n || len(clusterCores) != n {
-		return nil, 0, fmt.Errorf("core: cluster oracle needs parallel models/tables/cores, got %d/%d/%d",
-			len(models), len(tables), len(clusterCores))
-	}
-	if baseWatts < 0 {
-		return nil, 0, errors.New("core: negative base watts")
+	s, err := newClusterSearch(baseWatts, models, tables, clusterCores)
+	if err != nil {
+		return nil, 0, err
 	}
 	if demandCyclesPerSec < 0 {
 		return nil, 0, errors.New("core: negative demand")
 	}
-	for ci := 0; ci < n; ci++ {
-		if models[ci] == nil || tables[ci] == nil || tables[ci].Len() == 0 {
-			return nil, 0, fmt.Errorf("core: cluster %d missing model or table", ci)
-		}
-		if clusterCores[ci] < 1 {
-			return nil, 0, fmt.Errorf("core: cluster %d core count %d", ci, clusterCores[ci])
-		}
+	watts := s.run(demandCyclesPerSec)
+	choice := make([]ClusterOperatingPoint, len(s.opts))
+	for ci, k := range s.best {
+		choice[ci] = s.opts[ci][k].point
 	}
-
-	var (
-		bestChoice []ClusterOperatingPoint
-		bestWatts  = math.Inf(1)
-		bestCores  = math.MaxInt
-		bestCap    = math.Inf(1)
-		cur        = make([]ClusterOperatingPoint, n)
-	)
-	price := func(choice []ClusterOperatingPoint, totalCap float64) float64 {
-		watts := baseWatts
-		for ci, ch := range choice {
-			share := 0.0
-			if totalCap > 0 && ch.Cores > 0 {
-				share = demandCyclesPerSec * (float64(ch.Cores) * float64(ch.OPP.Freq)) / totalCap
-			}
-			watts += clusterPredictWatts(models[ci], ch.Cores, ch.OPP, share, clusterCores[ci])
-		}
-		return watts
-	}
-	var walk func(ci, cores int, capacity float64)
-	walk = func(ci, cores int, capacity float64) {
-		if ci == n {
-			if cores < 1 || capacity < demandCyclesPerSec {
-				return
-			}
-			watts := price(cur, capacity)
-			if watts < bestWatts ||
-				(watts == bestWatts && cores < bestCores) ||
-				(watts == bestWatts && cores == bestCores && capacity < bestCap) {
-				bestChoice = append(bestChoice[:0], cur...)
-				bestWatts, bestCores, bestCap = watts, cores, capacity
-			}
-			return
-		}
-		cur[ci] = ClusterOperatingPoint{Cores: 0, OPP: tables[ci].Min()}
-		walk(ci+1, cores, capacity)
-		for c := 1; c <= clusterCores[ci]; c++ {
-			for _, opp := range tables[ci].Points() {
-				cur[ci] = ClusterOperatingPoint{Cores: c, OPP: opp}
-				walk(ci+1, cores+c, capacity+float64(c)*float64(opp.Freq))
-			}
-		}
-	}
-	walk(0, 0, 0)
-
-	if bestChoice == nil {
-		// Demand exceeds the whole SoC: run everything flat out.
-		full := make([]ClusterOperatingPoint, n)
-		totalCap := 0.0
-		for ci := 0; ci < n; ci++ {
-			full[ci] = ClusterOperatingPoint{Cores: clusterCores[ci], OPP: tables[ci].Max()}
-			totalCap += float64(clusterCores[ci]) * float64(tables[ci].Max().Freq)
-		}
-		return full, price(full, totalCap), nil
-	}
-	return bestChoice, bestWatts, nil
+	return choice, watts, nil
 }
 
-// clusterPredictWatts prices one cluster serving shareCyclesPerSec on
-// cores active cores at opp, the rest power-gated — Model.PredictWatts
-// without the per-cluster base (the platform floor is paid once by the
-// caller) and without slice allocation in the search's hot loop.
-func clusterPredictWatts(m *power.Model, cores int, opp soc.OPP, shareCyclesPerSec float64, totalCores int) float64 {
-	off := float64(totalCores-cores) * m.Params().OfflineWatts
-	if cores == 0 {
-		return off
+// clusterOption is one candidate (cores, OPP) of one cluster with the
+// constants its price needs, computed once per platform so the search
+// never copies a table or resolves an OPP.
+type clusterOption struct {
+	point ClusterOperatingPoint
+	cores float64 // float64(point.Cores)
+	cf    float64 // capacity, float64(Cores) * float64(Freq)
+	freq  float64
+	volt  float64
+	ceff  float64
+	leak  float64 // per-core static watts at the OPP
+	off   float64 // float64(total-Cores) * OfflineWatts
+	cache float64 // CacheBaseWatts + CacheSlopeWatts*ratio
+}
+
+// watts is clusterOption's share of the joint price when the candidate's
+// aggregate capacity is totalCap: Model.CoreWatts and Model.CacheWatts
+// evaluated with their own float expressions.
+//
+//mobicore:hotpath
+func (o *clusterOption) watts(demand, totalCap float64) float64 {
+	if o.point.Cores == 0 {
+		return o.off
 	}
-	util := shareCyclesPerSec / (float64(cores) * float64(opp.Freq))
-	util = clamp(util, 0, 1)
-	return float64(cores)*m.CoreWatts(soc.StateActive, opp, util) + off + m.CacheWatts(util, opp.Freq)
+	share := 0.0
+	if totalCap > 0 {
+		share = demand * o.cf / totalCap
+	}
+	util := clamp(share/o.cf, 0, 1)
+	return o.cores*(o.leak+util*o.ceff*o.freq*o.volt*o.volt) + o.off + util*o.cache
+}
+
+// clusterSearch is the branch-and-bound joint search for one platform:
+// per-cluster options in walk order, their bound constants, and the scratch
+// of one search. It is not safe for concurrent use.
+type clusterSearch struct {
+	base    float64
+	opts    [][]clusterOption
+	maxCap  []float64 // per cluster: its largest option capacity
+	minTerm []float64 // per cluster: its cheapest option at zero utilization
+
+	demand    float64
+	cur, best []int // option index per cluster
+	bestWatts float64
+	bestCores int
+	bestCap   float64
+	found     bool
+}
+
+// newClusterSearch validates the joint search's inputs and builds every
+// option's constants.
+func newClusterSearch(baseWatts float64, models []*power.Model, tables []*soc.OPPTable, clusterCores []int) (*clusterSearch, error) {
+	n := len(models)
+	if n == 0 || len(tables) != n || len(clusterCores) != n {
+		return nil, fmt.Errorf("core: cluster oracle needs parallel models/tables/cores, got %d/%d/%d",
+			len(models), len(tables), len(clusterCores))
+	}
+	if baseWatts < 0 {
+		return nil, errors.New("core: negative base watts")
+	}
+	s := &clusterSearch{
+		base:    baseWatts,
+		opts:    make([][]clusterOption, n),
+		maxCap:  make([]float64, n),
+		minTerm: make([]float64, n),
+		cur:     make([]int, n),
+		best:    make([]int, n),
+	}
+	for ci := 0; ci < n; ci++ {
+		m, table, total := models[ci], tables[ci], clusterCores[ci]
+		if m == nil || table == nil || table.Len() == 0 {
+			return nil, fmt.Errorf("core: cluster %d missing model or table", ci)
+		}
+		if total < 1 {
+			return nil, fmt.Errorf("core: cluster %d core count %d", ci, total)
+		}
+		p := m.Params()
+		opts := make([]clusterOption, 0, 1+total*table.Len())
+		opts = append(opts, clusterOption{
+			point: ClusterOperatingPoint{OPP: table.Min()},
+			off:   float64(total) * p.OfflineWatts,
+		})
+		for c := 1; c <= total; c++ {
+			for i := 0; i < table.Len(); i++ {
+				opp := table.At(i)
+				opts = append(opts, clusterOption{
+					point: ClusterOperatingPoint{Cores: c, OPP: opp},
+					cores: float64(c),
+					cf:    float64(c) * float64(opp.Freq),
+					freq:  float64(opp.Freq),
+					volt:  float64(opp.Volt),
+					ceff:  p.CeffFarads,
+					leak:  m.LeakWatts(opp.Volt),
+					off:   float64(total-c) * p.OfflineWatts,
+					cache: m.CacheWatts(1, opp.Freq),
+				})
+			}
+		}
+		s.opts[ci] = opts
+		s.minTerm[ci] = math.Inf(1)
+		for k := range opts {
+			s.maxCap[ci] = math.Max(s.maxCap[ci], opts[k].cf)
+			s.minTerm[ci] = math.Min(s.minTerm[ci], opts[k].watts(0, 1))
+		}
+	}
+	return s, nil
+}
+
+// run searches for demand, leaving the optimum's option indices in s.best,
+// and returns its price.
+func (s *clusterSearch) run(demand float64) float64 {
+	s.demand = demand
+	s.found = false
+	s.bestWatts, s.bestCores, s.bestCap = math.Inf(1), math.MaxInt, math.Inf(1)
+	tub := 0.0
+	for _, c := range s.maxCap {
+		tub += c
+	}
+	if !(tub < demand) {
+		s.walk(0, 0, 0)
+	}
+	if !s.found {
+		// Demand exceeds the whole SoC: run everything flat out.
+		for ci := range s.best {
+			s.best[ci] = len(s.opts[ci]) - 1
+		}
+		return s.price(s.best, tub)
+	}
+	return s.bestWatts
+}
+
+// price sums the floor and every cluster's term at totalCap, in cluster
+// order: the leaf price when idx is a full assignment.
+//
+//mobicore:hotpath
+func (s *clusterSearch) price(idx []int, totalCap float64) float64 {
+	watts := s.base
+	for ci, k := range idx {
+		watts += s.opts[ci][k].watts(s.demand, totalCap)
+	}
+	return watts
+}
+
+// walk expands cluster ci under the assignment s.cur[:ci], which holds
+// cores online and capacity cycles/s.
+//
+//mobicore:hotpath
+func (s *clusterSearch) walk(ci, cores int, capacity float64) {
+	opts := s.opts[ci]
+	last := ci == len(s.opts)-1
+	for k := range opts {
+		o := &opts[k]
+		c, cp := cores, capacity
+		if o.point.Cores > 0 {
+			c += o.point.Cores
+			cp += o.cf
+		}
+		s.cur[ci] = k
+		if last {
+			if c < 1 || cp < s.demand {
+				continue
+			}
+			w := s.price(s.cur, cp)
+			if w < s.bestWatts ||
+				(w == s.bestWatts && c < s.bestCores) ||
+				(w == s.bestWatts && c == s.bestCores && cp < s.bestCap) {
+				copy(s.best, s.cur)
+				s.bestWatts, s.bestCores, s.bestCap, s.found = w, c, cp, true
+			}
+			continue
+		}
+		tub := cp
+		for i := ci + 1; i < len(s.opts); i++ {
+			tub += s.maxCap[i]
+		}
+		if tub < s.demand {
+			continue
+		}
+		lb := s.price(s.cur[:ci+1], tub)
+		for i := ci + 1; i < len(s.opts); i++ {
+			lb += s.minTerm[i]
+		}
+		if lb > s.bestWatts {
+			continue
+		}
+		s.walk(ci+1, c, cp)
+	}
 }
 
 // ClusteredOracle is the model-driven reference manager for heterogeneous
 // SoCs: each period it measures served demand, adds headroom, and programs
-// the joint per-cluster optimum from ChooseClusterOperatingPoints. The
-// homogeneous Oracle is the single-cluster special case.
+// the joint per-cluster optimum from ChooseClusterOperatingPoints, keeping
+// the search's per-candidate constants across decisions. The homogeneous
+// Oracle is the single-cluster special case.
 type ClusteredOracle struct {
-	baseWatts float64
-	models    []*power.Model
-	tables    []*soc.OPPTable
-	counts    []int
-	headroom  float64
+	search   *clusterSearch
+	headroom float64
 }
 
 var _ policy.Manager = (*ClusteredOracle)(nil)
 
 // NewClusteredOracleForPlatform builds the cluster-aware oracle from a
-// platform profile, one calibrated model per frequency domain. headroom
-// inflates measured demand to leave room for growth between samples.
+// platform profile, one calibrated model per frequency domain, with every
+// candidate's pricing constants computed once. headroom inflates measured
+// demand to leave room for growth between samples.
 func NewClusteredOracleForPlatform(plat platform.Platform, headroom float64) (*ClusteredOracle, error) {
 	if headroom < 0 || headroom > 1 {
 		return nil, errors.New("core: oracle headroom must be in [0,1]")
 	}
 	specs := plat.ClusterSpecs()
-	o := &ClusteredOracle{
-		baseWatts: plat.Power.BaseWatts,
-		models:    make([]*power.Model, len(specs)),
-		tables:    make([]*soc.OPPTable, len(specs)),
-		counts:    make([]int, len(specs)),
-		headroom:  headroom,
-	}
+	models := make([]*power.Model, len(specs))
+	tables := make([]*soc.OPPTable, len(specs))
+	counts := make([]int, len(specs))
 	for ci, cs := range specs {
 		m, err := power.NewModel(cs.Power, cs.Table)
 		if err != nil {
 			return nil, fmt.Errorf("core: cluster %s: %w", cs.Name, err)
 		}
-		o.models[ci] = m
-		o.tables[ci] = cs.Table
-		o.counts[ci] = cs.NumCores
+		models[ci] = m
+		tables[ci] = cs.Table
+		counts[ci] = cs.NumCores
 	}
-	return o, nil
+	s, err := newClusterSearch(plat.Power.BaseWatts, models, tables, counts)
+	if err != nil {
+		return nil, err
+	}
+	return &ClusteredOracle{search: s, headroom: headroom}, nil
 }
 
 // Name implements policy.Manager.
@@ -303,9 +441,9 @@ func (o *ClusteredOracle) Decide(in policy.Input) (policy.Decision, error) {
 		return policy.Decision{}, err
 	}
 	views := in.ClusterViews()
-	if len(views) != len(o.models) {
+	if len(views) != len(o.search.opts) {
 		return policy.Decision{}, fmt.Errorf("core: cluster oracle built for %d domains, input has %d",
-			len(o.models), len(views))
+			len(o.search.opts), len(views))
 	}
 	var demand float64
 	for i := range in.Util {
@@ -314,16 +452,14 @@ func (o *ClusteredOracle) Decide(in policy.Input) (policy.Decision, error) {
 		}
 	}
 	demand *= 1 + o.headroom
-	choice, _, err := ChooseClusterOperatingPoints(o.baseWatts, o.models, o.tables, o.counts, demand)
-	if err != nil {
-		return policy.Decision{}, err
-	}
+	o.search.run(demand)
 	targets := make([]soc.Hz, len(in.Util))
 	vec := make([]int, len(views))
 	for ci, v := range views {
-		vec[ci] = choice[ci].Cores
-		f := choice[ci].OPP.Freq
-		if choice[ci].Cores == 0 {
+		ch := o.search.opts[ci][o.search.best[ci]].point
+		vec[ci] = ch.Cores
+		f := ch.OPP.Freq
+		if ch.Cores == 0 {
 			f = v.Table.Min().Freq // parked domain clocks at its floor
 		}
 		for _, id := range v.CoreIDs {

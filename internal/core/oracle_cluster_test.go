@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -10,9 +11,10 @@ import (
 	"mobicore/internal/soc"
 )
 
-func nexus6pOracleParts(t *testing.T) (float64, []*power.Model, []*soc.OPPTable, []int) {
+// oracleParts builds the joint search's inputs for a platform: one
+// calibrated model, table and core count per frequency domain.
+func oracleParts(t testing.TB, plat platform.Platform) (float64, []*power.Model, []*soc.OPPTable, []int) {
 	t.Helper()
-	plat := platform.Nexus6P()
 	specs := plat.ClusterSpecs()
 	models := make([]*power.Model, len(specs))
 	tables := make([]*soc.OPPTable, len(specs))
@@ -33,7 +35,7 @@ func nexus6pOracleParts(t *testing.T) (float64, []*power.Model, []*soc.OPPTable,
 // efficiency cluster must not buy A57 leakage — the joint optimum parks
 // the big cluster entirely.
 func TestChooseClusterOperatingPointsPrefersLittle(t *testing.T) {
-	base, models, tables, counts := nexus6pOracleParts(t)
+	base, models, tables, counts := oracleParts(t, platform.Nexus6P())
 	demand := 1.0e9 // one LITTLE core at ~2/3 ladder serves this
 	choice, watts, err := ChooseClusterOperatingPoints(base, models, tables, counts, demand)
 	if err != nil {
@@ -58,7 +60,7 @@ func TestChooseClusterOperatingPointsPrefersLittle(t *testing.T) {
 // LITTLE ladder forces big cores into the joint optimum, and the combined
 // capacity still serves it.
 func TestChooseClusterOperatingPointsSpansClusters(t *testing.T) {
-	base, models, tables, counts := nexus6pOracleParts(t)
+	base, models, tables, counts := oracleParts(t, platform.Nexus6P())
 	littleCap := float64(counts[0]) * float64(tables[0].Max().Freq)
 	demand := littleCap * 1.5
 	choice, _, err := ChooseClusterOperatingPoints(base, models, tables, counts, demand)
@@ -83,7 +85,7 @@ func TestChooseClusterOperatingPointsSpansClusters(t *testing.T) {
 // TestChooseClusterOperatingPointsOverload: demand beyond the whole SoC
 // falls back to everything flat out rather than erroring.
 func TestChooseClusterOperatingPointsOverload(t *testing.T) {
-	base, models, tables, counts := nexus6pOracleParts(t)
+	base, models, tables, counts := oracleParts(t, platform.Nexus6P())
 	choice, _, err := ChooseClusterOperatingPoints(base, models, tables, counts, 1e12)
 	if err != nil {
 		t.Fatal(err)
@@ -149,5 +151,32 @@ func TestClusteredOracleDecide(t *testing.T) {
 	}
 	if total < 1 {
 		t.Error("oracle parked every core")
+	}
+}
+
+// BenchmarkClusterOracle times one joint search on each multi-cluster
+// platform with its constants prebuilt, as ClusteredOracle holds them,
+// cycling through a fixed set of demands spread over the SoC's capacity.
+func BenchmarkClusterOracle(b *testing.B) {
+	for _, alias := range []string{"nexus6p", "sd855"} {
+		b.Run(alias, func(b *testing.B) {
+			plat, err := platform.ByName(alias)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := newClusterSearch(oracleParts(b, plat))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			demands := make([]float64, 64)
+			for i := range demands {
+				demands[i] = rng.Float64() * fullCapacity(s)
+			}
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				s.run(demands[i%len(demands)])
+			}
+		})
 	}
 }
