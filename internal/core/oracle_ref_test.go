@@ -163,9 +163,9 @@ func randomLeaf(rng *rand.Rand, s *clusterSearch) []int {
 // platform profile (platform.All omits the multi-cluster ones): random
 // demands, zero, the whole SoC's capacity and just past it, twice it, every
 // option's exact c·f capacity and random candidates' exact joint capacities
-// (both of which put a leaf at utilization exactly 1 and force ties). A
-// twin of two identical clusters adds candidates whose watts, cores and
-// capacity tie exactly, so the first-found tie-break is exercised too.
+// (both of which put a leaf at utilization exactly 1 and force ties).
+// Pairs of identical or exactly scaled clusters add candidates that tie in
+// watts bits, so each tie-break rule decides some case too.
 func TestClusterOracleMatchesExhaustive(t *testing.T) {
 	profiles := platform.Profiles()
 	check := func(t *testing.T, base float64, models []*power.Model, tables []*soc.OPPTable, counts []int) {
