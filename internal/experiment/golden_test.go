@@ -129,3 +129,34 @@ func TestCrossSeedExperimentsMatchGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluationExperimentsMatchGolden locks the §6 evaluation items and
+// the Table 2 trace, which build their policies by name: fig9a, fig9b and
+// the four views of the game sessions (fig10–13) render byte-identically
+// at scale 0.05 and seed 42. Regenerate with -update-golden after an
+// intentional physics or formatting change.
+func TestEvaluationExperimentsMatchGolden(t *testing.T) {
+	for _, id := range []string{"fig9a", "fig9b", "fig10", "fig11", "fig12", "fig13", "table2"} {
+		res, err := Run(id, Options{Scale: 0.05, Seed: 42})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteText(&buf); err != nil {
+			t.Fatalf("%s: rendering: %v", id, err)
+		}
+		golden := filepath.Join("testdata", id+"_golden.txt")
+		if *updateGolden {
+			if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s drifted from the golden:\n--- got ---\n%s\n--- want ---\n%s", id, buf.Bytes(), want)
+		}
+	}
+}
