@@ -73,6 +73,7 @@ import (
 	"time"
 
 	"mobicore"
+	"mobicore/internal/fleetflag"
 	"mobicore/internal/natsort"
 	"mobicore/internal/profile"
 )
@@ -128,7 +129,7 @@ func run() int {
 
 	if *list {
 		fmt.Println("platforms: ", mobicore.Platforms())
-		fmt.Println("policies:  ", mobicore.Policies(), `plus "<governor>+<hotplug>"; "all" =`, allPolicies())
+		fmt.Println("policies:  ", mobicore.Policies(), `plus "<governor>+<hotplug>"; "all" =`, fleetflag.AllPolicies())
 		fmt.Println("hotplugs:  ", mobicore.Hotplugs())
 		fmt.Println("scheds:    ", mobicore.Scheds())
 		fmt.Println("games:     ", mobicore.GameNames())
@@ -219,15 +220,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "mobifleet:", err)
 		return 1
 	}
-	seedList := make([]int64, *seeds)
-	for i := range seedList {
-		seedList[i] = *seed + int64(i)
-	}
 	cfg := mobicore.FleetConfig{
-		Platforms: expandList(*platforms, mobicore.Platforms()),
-		Policies:  expandList(*policies, allPolicies()),
-		Scheds:    expandList(*scheds, mobicore.Scheds()),
-		Seeds:     seedList,
+		Platforms: fleetflag.ExpandList(*platforms, mobicore.Platforms()),
+		Policies:  fleetflag.ExpandList(*policies, fleetflag.AllPolicies()),
+		Scheds:    fleetflag.ExpandList(*scheds, mobicore.Scheds()),
+		Seeds:     fleetflag.SeedRange(*seed, *seeds),
 		Duration:  *dur,
 		Parallel:  *parallel,
 		Store:     *storeDir,
@@ -292,17 +289,6 @@ func writeCSV(res *mobicore.FleetResult, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// allPolicies is what "-policies all" expands to: the named stacks, the
-// stock per-cluster governor stacks the paper's comparisons run against
-// (ondemand+load is android-default, so it is not repeated), and the two
-// blunt baselines the scenario experiments rank — max pinning with hotplug
-// disabled and ondemand with the load-packing offliner.
-func allPolicies() []string {
-	return append(mobicore.Policies(),
-		"conservative+load", "interactive+load", "schedutil+load",
-		"pin-max+mpdecision", "ondemand+offline")
 }
 
 // workloadFactories resolves the workload flags into the fleet's workload
@@ -438,26 +424,4 @@ func parseShard(s string) (idx, count int, err error) {
 		return 0, 0, fmt.Errorf("-shard wants \"i/n\" with 0 <= i < n, got %q", s)
 	}
 	return idx, count, nil
-}
-
-// splitList parses a comma-separated flag value.
-func splitList(s string) []string {
-	var out []string
-	for _, v := range strings.Split(s, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// expandList is splitList with "all" expanding to the full set in natural
-// order (nexus5 before nexus6p, seed labels numeric).
-func expandList(s string, all []string) []string {
-	if strings.TrimSpace(s) == "all" {
-		out := append([]string(nil), all...)
-		natsort.Strings(out)
-		return out
-	}
-	return splitList(s)
 }

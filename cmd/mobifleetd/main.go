@@ -37,13 +37,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"mobicore"
 	"mobicore/internal/fleet/remote"
-	"mobicore/internal/natsort"
+	"mobicore/internal/fleetflag"
 )
 
 func main() {
@@ -88,10 +87,10 @@ func run() int {
 		return 1
 	}
 	job := remote.JobSpec{
-		Platforms:  expandList(*platforms, mobicore.Platforms()),
-		Policies:   expandList(*policies, allPolicies()),
-		Placers:    expandList(*scheds, mobicore.Scheds()),
-		Seeds:      seedRange(*seed, *seeds),
+		Platforms:  fleetflag.ExpandList(*platforms, mobicore.Platforms()),
+		Policies:   fleetflag.ExpandList(*policies, fleetflag.AllPolicies()),
+		Placers:    fleetflag.ExpandList(*scheds, mobicore.Scheds()),
+		Seeds:      fleetflag.SeedRange(*seed, *seeds),
 		DurationNS: int64(*dur),
 	}
 	job.Workloads, _ = workloadSpec(*wlName, *util, *threads, *gameName, *iters)
@@ -187,37 +186,4 @@ func workloadSpec(name string, util float64, threads int, game string, iters int
 		return []remote.WorkloadSpec{{Kind: "geekbench", Threads: threads, Iterations: iters}}, true
 	}
 	return nil, false
-}
-
-func seedRange(first int64, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = first + int64(i)
-	}
-	return out
-}
-
-// allPolicies mirrors mobifleet's "-policies all" expansion.
-func allPolicies() []string {
-	return append(mobicore.Policies(),
-		"conservative+load", "interactive+load", "schedutil+load")
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, v := range strings.Split(s, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func expandList(s string, all []string) []string {
-	if strings.TrimSpace(s) == "all" {
-		out := append([]string(nil), all...)
-		natsort.Strings(out)
-		return out
-	}
-	return splitList(s)
 }

@@ -162,11 +162,11 @@ func conversionToInterface(pass *Pass, call *ast.CallExpr) string {
 	if !ok || !tv.IsType() {
 		return ""
 	}
-	if !types.IsInterface(tv.Type) {
+	if !isInterface(tv.Type) {
 		return ""
 	}
 	argT := pass.Info.TypeOf(call.Args[0])
-	if argT == nil || types.IsInterface(argT) || isUntypedNil(argT) {
+	if argT == nil || isInterface(argT) || isUntypedNil(argT) {
 		return ""
 	}
 	return tv.Type.String()
@@ -184,11 +184,20 @@ func checkBoxingAssign(pass *Pass, fd *ast.FuncDecl, as *ast.AssignStmt) {
 		if lt == nil || rt == nil {
 			continue
 		}
-		if !types.IsInterface(lt) || types.IsInterface(rt) || isUntypedNil(rt) {
+		if !isInterface(lt) || isInterface(rt) || isUntypedNil(rt) {
 			continue
 		}
 		pass.Reportf(as.Pos(), "assignment boxes %s into interface %s in hot path %s", rt, lt, fd.Name.Name)
 	}
+}
+
+// isInterface reports whether values of t are interface values. A type
+// parameter is not one even though types.IsInterface says so (its
+// underlying type is its constraint): every instantiation holds a concrete
+// value, which boxes when stored in an interface.
+func isInterface(t types.Type) bool {
+	_, param := types.Unalias(t).(*types.TypeParam)
+	return !param && types.IsInterface(t)
 }
 
 func isErrorType(t types.Type) bool {

@@ -37,6 +37,23 @@ func Scale(dst, vals []float64, k float64) []float64 {
 	return dst
 }
 
+// Resize is a generic annotated buffer helper: its one-time growth is
+// suppressed like Scale's, and moving T values between T-typed locations
+// boxes nothing.
+//
+//mobicore:hotpath
+func Resize[T any](b []T, n int, fill T) []T {
+	if cap(b) < n {
+		//mobilint:ignore one-time buffer growth; steady-state reuse hits the resize path
+		b = make([]T, n)
+	}
+	b = b[:n]
+	for i := range b {
+		b[i] = fill
+	}
+	return b
+}
+
 // Build is not annotated, so its allocations are nobody's business.
 func Build(n int) []int {
 	out := make([]int, 0, n)

@@ -35,3 +35,15 @@ func Hot(n int, c Counter, buf []int, prefix, suffix string) int {
 	return len(s) + *p + len(buf) + lit[0] + len(m) + pt.x + f() + len(joined) +
 		boxed.Add(n) + a.Add(n)
 }
+
+// HotBox is a generic annotated function: a type parameter holds a
+// concrete value at every instantiation, so storing it in an interface
+// boxes it just as storing a Counter does.
+//
+//mobicore:hotpath
+func HotBox[T any](v T) (any, any) {
+	var a any
+	a = v       // want "hotalloc: assignment boxes"
+	b := any(v) // want "hotalloc: conversion to interface"
+	return a, b
+}

@@ -5,15 +5,12 @@ import (
 	"io"
 	"time"
 
-	"mobicore/internal/core"
-	"mobicore/internal/cpufreq"
 	"mobicore/internal/fleet"
 	"mobicore/internal/games"
-	"mobicore/internal/hotplug"
 	"mobicore/internal/metrics"
 	"mobicore/internal/platform"
-	"mobicore/internal/policy"
 	"mobicore/internal/soc"
+	"mobicore/internal/stack"
 )
 
 // BigLittleRow is one policy's session on the big.LITTLE platform.
@@ -111,13 +108,9 @@ func sparkline(s metrics.Series, scale float64) string {
 // governors, each run per cluster as an independent cpufreq policy domain
 // with the global load hotplug.
 func bigLittlePolicies() []fleet.PolicyFactory {
-	factories := []fleet.PolicyFactory{{Name: "mobicore", New: clusteredMobicoreManager}}
+	factories := []fleet.PolicyFactory{fleet.Policy(stack.MobiCore)}
 	for _, gov := range []string{"ondemand", "interactive", "schedutil"} {
-		gov := gov
-		factories = append(factories, fleet.PolicyFactory{
-			Name: gov,
-			New:  func(p platform.Platform) (policy.Manager, error) { return clusteredGovernorManager(p, gov) },
-		})
+		factories = append(factories, fleet.PolicyFactory{Name: gov, New: fleet.Policy(gov + "+load").New})
 	}
 	return factories
 }
@@ -162,22 +155,4 @@ func RunBigLittle(opt Options) (Result, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// clusteredMobicoreManager builds the per-cluster MobiCore with each
-// domain's calibrated energy model attached.
-func clusteredMobicoreManager(plat platform.Platform) (policy.Manager, error) {
-	return core.NewClusteredForPlatform(plat, core.DefaultTunables(), core.DefaultClusterTunables(), true)
-}
-
-// clusteredGovernorManager builds "<gov>+load" with one governor instance
-// per cluster.
-func clusteredGovernorManager(plat platform.Platform, gov string) (policy.Manager, error) {
-	plug, err := hotplug.NewLoad(hotplug.DefaultLoadTunables())
-	if err != nil {
-		return nil, err
-	}
-	return policy.ComposeClustered(gov,
-		func(t *soc.OPPTable) (cpufreq.Governor, error) { return cpufreq.New(gov, t) },
-		plug, plat.ClusterTables())
 }

@@ -9,7 +9,7 @@ import (
 	"mobicore/internal/geekbench"
 	"mobicore/internal/metrics"
 	"mobicore/internal/platform"
-	"mobicore/internal/policy"
+	"mobicore/internal/stack"
 	"mobicore/internal/workload"
 )
 
@@ -68,16 +68,12 @@ func RunFig9a(opt Options) (Result, error) {
 	plat := platform.Nexus5()
 	res := &Fig9aResult{}
 	for util := 0.1; util <= 1.001; util += 0.1 {
-		defMgr, err := defaultManager(plat.Table)
-		if err != nil {
-			return nil, fmt.Errorf("fig9a: %w", err)
-		}
-		mobMgr, err := mobicoreManager(plat)
-		if err != nil {
-			return nil, fmt.Errorf("fig9a: %w", err)
-		}
 		var watts [2]float64
-		for i, mgr := range []policyManager{defMgr, mobMgr} {
+		for i, name := range []string{stack.AndroidDefault, stack.MobiCore} {
+			mgr, err := stack.Build(name, plat)
+			if err != nil {
+				return nil, fmt.Errorf("fig9a: %w", err)
+			}
 			wl, err := utilLoop(util, plat.NumCores, plat.Table.Max().Freq)
 			if err != nil {
 				return nil, fmt.Errorf("fig9a: %w", err)
@@ -148,14 +144,8 @@ func RunFig9b(opt Options) (Result, error) {
 		score float64
 		watts float64
 	}
-	runOne := func(mobicore bool) (outcome, error) {
-		var mgr policyManager
-		var err error
-		if mobicore {
-			mgr, err = mobicoreManager(plat)
-		} else {
-			mgr, err = defaultManager(plat.Table)
-		}
+	runOne := func(policyName string) (outcome, error) {
+		mgr, err := stack.Build(policyName, plat)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -180,11 +170,11 @@ func RunFig9b(opt Options) (Result, error) {
 		}
 		return outcome{score: score, watts: rep.AvgPowerW}, nil
 	}
-	def, err := runOne(false)
+	def, err := runOne(stack.AndroidDefault)
 	if err != nil {
 		return nil, fmt.Errorf("fig9b default: %w", err)
 	}
-	mob, err := runOne(true)
+	mob, err := runOne(stack.MobiCore)
 	if err != nil {
 		return nil, fmt.Errorf("fig9b mobicore: %w", err)
 	}
@@ -248,14 +238,8 @@ func runGames(opt Options) ([]GameRow, error) {
 	rows := make([]GameRow, 0, 5)
 	for _, prof := range games.All() {
 		row := GameRow{Game: prof.Name}
-		for _, mobicore := range []bool{false, true} {
-			var mgr policyManager
-			var err error
-			if mobicore {
-				mgr, err = mobicoreManager(plat)
-			} else {
-				mgr, err = defaultManager(plat.Table)
-			}
+		for _, name := range []string{stack.AndroidDefault, stack.MobiCore} {
+			mgr, err := stack.Build(name, plat)
 			if err != nil {
 				return nil, fmt.Errorf("games %s: %w", prof.Name, err)
 			}
@@ -267,7 +251,7 @@ func runGames(opt Options) ([]GameRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("games %s: %w", prof.Name, err)
 			}
-			if mobicore {
+			if name == stack.MobiCore {
 				row.MobiCoreW = rep.AvgPowerW
 				row.MobiCoreFPS = g.AvgFPS()
 				row.MobiCoreFreqHz = rep.AvgFreqHz
@@ -285,6 +269,3 @@ func runGames(opt Options) ([]GameRow, error) {
 	}
 	return rows, nil
 }
-
-// policyManager aliases the manager interface experiments drive.
-type policyManager = policy.Manager

@@ -10,6 +10,7 @@ import (
 	"mobicore/internal/policy"
 	"mobicore/internal/power"
 	"mobicore/internal/soc"
+	"mobicore/internal/stack"
 )
 
 // Table1Result reproduces Table 1: the Nexus 5 platform specification.
@@ -85,13 +86,13 @@ func (r *Table2Result) WriteText(w io.Writer) error {
 func RunTable2(opt Options) (Result, error) {
 	_ = opt
 	plat := platform.Nexus5()
-	mgr, err := core.New(plat.Table, core.DefaultTunables())
+	mgr, err := stack.Build(stack.MobiCoreThreshold, plat)
 	if err != nil {
 		return nil, fmt.Errorf("table2: %w", err)
 	}
 	trace := []float64{0.70, 0.70, 0.55, 0.35, 0.25, 0.18, 0.18, 0.18, 0.35, 0.80, 0.80}
 	res := &Table2Result{Steps: make([]Table2Step, 0, len(trace))}
-	tun := mgr.Tunables()
+	tun := core.DefaultTunables()
 	prev := 0.0
 	for i, util := range trace {
 		in := policy.Input{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"mobicore/internal/reuse"
 	"mobicore/internal/soc"
 )
 
@@ -201,10 +202,10 @@ func (m *Memo) finish(res Result, nanos []uint64, pr Pressure, limited bool, poo
 	w.throttled = res.ThrottledSeconds
 	w.poolUsed = res.PoolUsedSec
 	w.executed = res.ExecutedCycles
-	w.busySec = f64Into(w.busySec, res.BusySeconds)
-	w.nanos = u64Into(w.nanos, nanos)
-	w.capped = boolInto(w.capped, pr.Capped)
-	w.capScale = f64Into(w.capScale, pr.CapScale)
+	w.busySec = reuse.Copy(w.busySec, res.BusySeconds)
+	w.nanos = reuse.Copy(w.nanos, nanos)
+	w.capped = reuse.Copy(w.capped, pr.Capped)
+	w.capScale = reuse.Copy(w.capScale, pr.CapScale)
 	w.prGen = pr.Gen
 	w.verified = m.seq
 	w.valid = true
@@ -383,12 +384,7 @@ func matchWin(w *memoWin, threads []*Thread, trusted bool, runnable int, poolSec
 //mobicore:hotpath
 func (m *Memo) ReplayInto(idx int, busy []float64, cpu *soc.CPU, dt time.Duration) (Result, error) {
 	w := &m.wins[idx]
-	if cap(busy) < len(w.busySec) {
-		//mobilint:ignore one Result slice per window when the caller passes no buffer
-		busy = make([]float64, len(w.busySec))
-	}
-	busy = busy[:len(w.busySec)]
-	copy(busy, w.busySec)
+	busy = reuse.Copy(busy, w.busySec)
 	for i := range w.entries {
 		e := &w.entries[i]
 		if e.core >= 0 && e.granted > 0 {
@@ -404,41 +400,4 @@ func (m *Memo) ReplayInto(idx int, busy []float64, cpu *soc.CPU, dt time.Duratio
 		ThrottledSeconds: w.throttled,
 		PoolUsedSec:      w.poolUsed,
 	}, nil
-}
-
-// The copy helpers below refresh a memo buffer from a source slice, keeping
-// the backing array whenever it is large enough (the growth branches are
-// cold; steady-state recording never allocates).
-
-//mobicore:hotpath
-func f64Into(dst, src []float64) []float64 {
-	if cap(dst) < len(src) {
-		//mobilint:ignore one-time memo growth; steady-state recording reuses capacity
-		dst = make([]float64, len(src))
-	}
-	dst = dst[:len(src)]
-	copy(dst, src)
-	return dst
-}
-
-//mobicore:hotpath
-func u64Into(dst, src []uint64) []uint64 {
-	if cap(dst) < len(src) {
-		//mobilint:ignore one-time memo growth; steady-state recording reuses capacity
-		dst = make([]uint64, len(src))
-	}
-	dst = dst[:len(src)]
-	copy(dst, src)
-	return dst
-}
-
-//mobicore:hotpath
-func boolInto(dst, src []bool) []bool {
-	if cap(dst) < len(src) {
-		//mobilint:ignore one-time memo growth; steady-state recording reuses capacity
-		dst = make([]bool, len(src))
-	}
-	dst = dst[:len(src)]
-	copy(dst, src)
-	return dst
 }

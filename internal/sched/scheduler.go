@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"mobicore/internal/reuse"
 	"mobicore/internal/soc"
 )
 
@@ -221,17 +222,9 @@ func (s *Scheduler) scheduleInto(rec *Memo, satRate float64, busy []float64, sna
 		s.snap = snap
 	}
 	dts := dt.Seconds()
-	if cap(busy) < len(snap) {
-		// Without a caller buffer the Result escapes with its own slice —
-		// the pre-arena API's ownership contract.
-		//mobilint:ignore one Result slice per window when the caller passes no buffer
-		busy = make([]float64, len(snap))
-	}
-	busy = busy[:len(snap)]
-	for i := range busy {
-		busy[i] = 0
-	}
-	res := Result{BusySeconds: busy}
+	// Without a caller buffer the Result escapes with its own slice — the
+	// pre-arena API's ownership contract.
+	res := Result{BusySeconds: reuse.Zeroed(busy, len(snap))}
 
 	if rec != nil {
 		rec.begin(dt, satRate)

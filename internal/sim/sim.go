@@ -20,6 +20,7 @@ import (
 	"mobicore/internal/platform"
 	"mobicore/internal/policy"
 	"mobicore/internal/power"
+	"mobicore/internal/reuse"
 	"mobicore/internal/sched"
 	"mobicore/internal/soc"
 	"mobicore/internal/thermal"
@@ -263,7 +264,7 @@ type fastState struct {
 func fastRing(old [sched.MemoRing]fastState, nc, n int) [sched.MemoRing]fastState {
 	var ring [sched.MemoRing]fastState
 	for i := range ring {
-		ring[i] = fastState{per: f64Buf(old[i].per, nc), winInc: f64Buf(old[i].winInc, n)}
+		ring[i] = fastState{per: reuse.Zeroed(old[i].per, nc), winInc: reuse.Zeroed(old[i].winInc, n)}
 	}
 	return ring
 }
@@ -341,7 +342,7 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 
 	n := cfg.Platform.NumCores
 	nc := len(comp.Specs)
-	views := viewsBuf(s.views, nc)
+	views := reuse.Zeroed(s.views, nc)
 	for ci, cs := range comp.Specs {
 		views[ci] = policy.ClusterView{Name: cs.Name, Table: cs.Table, CoreIDs: comp.ClusterCoreIDs[ci]}
 	}
@@ -360,7 +361,7 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 			satRate = fmax
 		}
 	}
-	hinters := hinterBuf(s.hinters, len(cfg.Workloads))
+	hinters := reuse.Zeroed(s.hinters, len(cfg.Workloads))
 	for i, w := range cfg.Workloads {
 		h, _ := w.(workload.SteadyHinter)
 		hinters[i] = h
@@ -381,36 +382,36 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 		views:       views,
 		coreCluster: comp.CoreCluster,
 		quota:       cfg.InitialQuota,
-		requested:   hzBuf(s.requested, n),
-		applied:     hzBuf(s.applied, n),
+		requested:   reuse.Zeroed(s.requested, n),
+		applied:     reuse.Zeroed(s.applied, n),
 		prGen:       ^uint64(0), // force the first tick to build the pressure view
 
 		memo:                s.memo.Recycle(),
 		fast:                fastRing(s.fast, nc, n),
 		satRate:             satRate,
 		hinters:             hinters,
-		snap:                snapBuf(s.snap, n),
-		util:                f64Buf(s.util, n),
-		busySec:             f64Buf(s.busySec, n),
-		clusterWatts:        f64Buf(s.clusterWatts, nc),
-		zoneWatts:           f64Buf(s.zoneWatts, nc),
-		capped:              boolBuf(s.capped, n),
-		capScale:            f64Buf(s.capScale, n),
+		snap:                reuse.Zeroed(s.snap, n),
+		util:                reuse.Zeroed(s.util, n),
+		busySec:             reuse.Zeroed(s.busySec, n),
+		clusterWatts:        reuse.Zeroed(s.clusterWatts, nc),
+		zoneWatts:           reuse.Zeroed(s.zoneWatts, nc),
+		capped:              reuse.Zeroed(s.capped, n),
+		capScale:            reuse.Zeroed(s.capScale, n),
 		clusterFmax:         comp.ClusterFmaxHz,
 		threads:             s.threads[:0],
-		loads:               loadBuf(s.loads, n),
-		inUtil:              f64Buf(s.inUtil, n),
-		inOnline:            boolBuf(s.inOnline, n),
-		inCurFreq:           hzBuf(s.inCurFreq, n),
-		inThermal:           thermalBuf(s.inThermal, nc),
-		clFreq:              f64Buf(s.clFreq, nc),
-		clOnline:            intBuf(s.clOnline, nc),
-		winBusySec:          f64Buf(s.winBusySec, n),
-		clusterFreqSum:      sumBuf(s.clusterFreqSum, nc),
-		clusterCoreSum:      sumBuf(s.clusterCoreSum, nc),
-		clusterTempSum:      sumBuf(s.clusterTempSum, nc),
-		clusterThermalSec:   f64Buf(s.clusterThermalSec, nc),
-		clusterEnergyJ:      f64Buf(s.clusterEnergyJ, nc),
+		loads:               reuse.Zeroed(s.loads, n),
+		inUtil:              reuse.Zeroed(s.inUtil, n),
+		inOnline:            reuse.Zeroed(s.inOnline, n),
+		inCurFreq:           reuse.Zeroed(s.inCurFreq, n),
+		inThermal:           reuse.Zeroed(s.inThermal, nc),
+		clFreq:              reuse.Zeroed(s.clFreq, nc),
+		clOnline:            reuse.Zeroed(s.clOnline, nc),
+		winBusySec:          reuse.Zeroed(s.winBusySec, n),
+		clusterFreqSum:      reuse.Zeroed(s.clusterFreqSum, nc),
+		clusterCoreSum:      reuse.Zeroed(s.clusterCoreSum, nc),
+		clusterTempSum:      reuse.Zeroed(s.clusterTempSum, nc),
+		clusterThermalSec:   reuse.Zeroed(s.clusterThermalSec, nc),
+		clusterEnergyJ:      reuse.Zeroed(s.clusterEnergyJ, nc),
 		freqSeries:          agg[0],
 		coreSeries:          agg[1],
 		utilSeries:          agg[2],
@@ -777,13 +778,13 @@ func (s *Sim) samplePolicy() error {
 	in := policy.Input{
 		Now:      s.now,
 		Period:   period,
-		Util:     f64Buf(s.inUtil, len(snap)),
-		Online:   boolBuf(s.inOnline, len(snap)),
-		CurFreq:  hzBuf(s.inCurFreq, len(snap)),
+		Util:     reuse.Zeroed(s.inUtil, len(snap)),
+		Online:   reuse.Zeroed(s.inOnline, len(snap)),
+		CurFreq:  reuse.Zeroed(s.inCurFreq, len(snap)),
 		Quota:    s.quota,
 		Table:    s.cfg.Platform.Table,
 		Clusters: s.views,
-		Thermal:  thermalBuf(s.inThermal, len(s.views)),
+		Thermal:  reuse.Zeroed(s.inThermal, len(s.views)),
 	}
 	s.inUtil, s.inOnline, s.inCurFreq, s.inThermal = in.Util, in.Online, in.CurFreq, in.Thermal
 	for ci := range s.views {
@@ -863,8 +864,8 @@ func (s *Sim) samplePolicy() error {
 	}
 	var freqAcc float64
 	online := 0
-	clFreq := f64Buf(s.clFreq, len(s.views))
-	clOnline := intBuf(s.clOnline, len(s.views))
+	clFreq := reuse.Zeroed(s.clFreq, len(s.views))
+	clOnline := reuse.Zeroed(s.clOnline, len(s.views))
 	s.clFreq, s.clOnline = clFreq, clOnline
 	for _, c := range snap {
 		if c.State != soc.StateOffline {

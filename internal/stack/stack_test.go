@@ -3,10 +3,13 @@ package stack
 import (
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"mobicore/internal/cpufreq"
 	"mobicore/internal/platform"
 	"mobicore/internal/policy"
 	"mobicore/internal/soc"
@@ -40,6 +43,97 @@ func TestBuildRejectsUnknown(t *testing.T) {
 			t.Errorf("Build(%q) accepted", name)
 		}
 	}
+}
+
+// TestGovernorStacksMatchSingleDomain locks the folded homogeneous forks:
+// on every single-cluster profile, Build's N-domain construction decides
+// exactly like the single-domain Composite it replaced, over a seeded
+// random sequence of observations fed to both in lockstep.
+func TestGovernorStacksMatchSingleDomain(t *testing.T) {
+	profiles := platform.Profiles()
+	for _, alias := range slices.Sorted(maps.Keys(profiles)) {
+		plat := profiles[alias]()
+		if plat.Heterogeneous() {
+			continue
+		}
+		refs := map[string]func() (policy.Manager, error){
+			AndroidDefault: func() (policy.Manager, error) { return policy.AndroidDefault(plat.Table) },
+		}
+		for _, name := range []string{"interactive+mpdecision", "schedutil+offline", "conservative+fixed-2", "pin-max+load"} {
+			refs[name] = func() (policy.Manager, error) {
+				govName, plugName, _ := strings.Cut(name, "+")
+				gov, err := cpufreq.New(govName, plat.Table)
+				if err != nil {
+					return nil, err
+				}
+				plug, err := buildHotplug(plugName)
+				if err != nil {
+					return nil, err
+				}
+				return policy.Compose(gov, plug)
+			}
+		}
+		for name, newRef := range refs {
+			got, err := Build(name, plat)
+			if err != nil {
+				t.Fatalf("Build(%q, %s): %v", name, alias, err)
+			}
+			want, err := newRef()
+			if err != nil {
+				t.Fatalf("%s reference on %s: %v", name, alias, err)
+			}
+			if got.Name() != want.Name() {
+				t.Errorf("%s on %s: name %q, want %q", name, alias, got.Name(), want.Name())
+			}
+			rng := rand.New(rand.NewSource(int64(len(alias)*31 + len(name))))
+			for i, in := range randomInputs(rng, plat, 300) {
+				dg, errG := got.Decide(in)
+				dw, errW := want.Decide(in)
+				if (errG != nil) != (errW != nil) || !reflect.DeepEqual(dg, dw) {
+					t.Fatalf("%s on %s, input %d: Decide = %+v, %v; single-domain = %+v, %v",
+						name, alias, i, dg, errG, dw, errW)
+				}
+			}
+		}
+	}
+}
+
+// randomInputs draws count successive observations of a single-cluster
+// platform: random hotplug state (at least one core online), frequencies
+// on the ladder, utilization in [0,1] on online cores, quota in (0,1], and
+// half the time the engine's cluster view and thermal telemetry.
+func randomInputs(rng *rand.Rand, plat platform.Platform, count int) []policy.Input {
+	n := plat.NumCores
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	views := []policy.ClusterView{{Name: "cpu", Table: plat.Table, CoreIDs: ids}}
+	inputs := make([]policy.Input, count)
+	for k := range inputs {
+		in := policy.Input{
+			Now:     time.Duration(k+1) * 50 * time.Millisecond,
+			Period:  50 * time.Millisecond,
+			Util:    make([]float64, n),
+			Online:  make([]bool, n),
+			CurFreq: make([]soc.Hz, n),
+			Quota:   1 - 0.9*rng.Float64(),
+			Table:   plat.Table,
+		}
+		for i := range in.Util {
+			in.Online[i] = i == 0 || rng.Intn(4) > 0
+			in.CurFreq[i] = plat.Table.At(rng.Intn(plat.Table.Len())).Freq
+			if in.Online[i] {
+				in.Util[i] = rng.Float64()
+			}
+		}
+		if rng.Intn(2) == 0 {
+			in.Clusters = views
+			in.Thermal = []policy.ThermalSignal{{TempC: 40, HeadroomC: 5, CapFreq: plat.Table.Max().Freq}}
+		}
+		inputs[k] = in
+	}
+	return inputs
 }
 
 // decideInputs builds a fixed cycle of policy observations for a platform:
