@@ -210,8 +210,9 @@ func run() int {
 		return 0
 	}
 
-	if *seeds < 1 {
-		fmt.Fprintln(os.Stderr, "mobifleet: -seeds must be at least 1")
+	seedList, err := fleetflag.SeedRange(*seed, *seeds)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mobifleet:", err)
 		return 1
 	}
 
@@ -224,7 +225,7 @@ func run() int {
 		Platforms: fleetflag.ExpandList(*platforms, mobicore.Platforms()),
 		Policies:  fleetflag.ExpandList(*policies, fleetflag.AllPolicies()),
 		Scheds:    fleetflag.ExpandList(*scheds, mobicore.Scheds()),
-		Seeds:     fleetflag.SeedRange(*seed, *seeds),
+		Seeds:     seedList,
 		Duration:  *dur,
 		Parallel:  *parallel,
 		Store:     *storeDir,

@@ -86,11 +86,16 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "mobifleetd: coordinator mode needs -store")
 		return 1
 	}
+	seedList, err := fleetflag.SeedRange(*seed, *seeds)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mobifleetd:", err)
+		return 1
+	}
 	job := remote.JobSpec{
 		Platforms:  fleetflag.ExpandList(*platforms, mobicore.Platforms()),
 		Policies:   fleetflag.ExpandList(*policies, fleetflag.AllPolicies()),
 		Placers:    fleetflag.ExpandList(*scheds, mobicore.Scheds()),
-		Seeds:      fleetflag.SeedRange(*seed, *seeds),
+		Seeds:      seedList,
 		DurationNS: int64(*dur),
 	}
 	job.Workloads, _ = workloadSpec(*wlName, *util, *threads, *gameName, *iters)

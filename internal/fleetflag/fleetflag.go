@@ -4,6 +4,7 @@
 package fleetflag
 
 import (
+	"fmt"
 	"strings"
 
 	"mobicore/internal/natsort"
@@ -43,11 +44,16 @@ func ExpandList(s string, all []string) []string {
 	return SplitList(s)
 }
 
-// SeedRange returns the n consecutive seeds starting at first.
-func SeedRange(first int64, n int) []int64 {
+// SeedRange returns the n consecutive seeds starting at first — the
+// "-seed first -seeds n" pair. A matrix needs at least one seed, so n < 1
+// is an error.
+func SeedRange(first int64, n int) ([]int64, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("-seeds must be at least 1, got %d", n)
+	}
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = first + int64(i)
 	}
-	return out
+	return out, nil
 }

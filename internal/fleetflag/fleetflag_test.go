@@ -1,6 +1,7 @@
 package fleetflag
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -47,7 +48,35 @@ func TestLists(t *testing.T) {
 	if got, want := ExpandList("sd855,nexus5", all), []string{"sd855", "nexus5"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("ExpandList(list) = %v, want %v", got, want)
 	}
-	if got, want := SeedRange(7, 3), []int64{7, 8, 9}; !reflect.DeepEqual(got, want) {
-		t.Errorf("SeedRange(7, 3) = %v, want %v", got, want)
+}
+
+// TestSeedRange: both fleet CLIs turn "-seed first -seeds n" into a seed
+// list through SeedRange, so a count below one must be an error there and
+// never a panic or an empty matrix.
+func TestSeedRange(t *testing.T) {
+	tests := []struct {
+		first int64
+		n     int
+		want  []int64
+		err   bool
+	}{
+		{first: 7, n: 3, want: []int64{7, 8, 9}},
+		{first: 1, n: 1, want: []int64{1}},
+		{first: -2, n: 2, want: []int64{-2, -1}},
+		{first: 1, n: 0, err: true},
+		{first: 1, n: -1, err: true},
+		{first: 1, n: math.MinInt, err: true},
+	}
+	for _, tt := range tests {
+		got, err := SeedRange(tt.first, tt.n)
+		if tt.err {
+			if err == nil || got != nil {
+				t.Errorf("SeedRange(%d, %d) = %v, %v; want an error", tt.first, tt.n, got, err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("SeedRange(%d, %d) = %v, %v; want %v", tt.first, tt.n, got, err, tt.want)
+		}
 	}
 }

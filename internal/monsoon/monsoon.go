@@ -46,6 +46,13 @@ type Monitor struct {
 	accJoules   float64 // energy within the current sample window
 	accTime     time.Duration
 	truncated   bool
+
+	// dtSec caches dt.Seconds() for the last observation window seen.
+	// Simulation loops observe with a fixed tick, so the conversion runs
+	// once per session instead of once per tick; it is the identical float
+	// either way.
+	dt    time.Duration
+	dtSec float64
 }
 
 // New builds a monitor.
@@ -67,7 +74,10 @@ func (m *Monitor) Observe(now time.Duration, watts float64, dt time.Duration) er
 	if dt <= 0 {
 		return errors.New("monsoon: non-positive observation window")
 	}
-	j := watts * dt.Seconds()
+	if dt != m.dt {
+		m.dt, m.dtSec = dt, dt.Seconds()
+	}
+	j := watts * m.dtSec
 	m.joules += j
 	m.elapsed += dt
 	m.accJoules += j

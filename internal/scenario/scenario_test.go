@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -275,4 +276,39 @@ func TestGeneratorModeRecordsItsWalk(t *testing.T) {
 	if _, err := scenario.ReadJSONL(&buf); err != nil {
 		t.Errorf("recorded trace does not re-import: %v", err)
 	}
+}
+
+// FuzzReadJSONL: whatever bytes arrive, the trace parser either rejects
+// them or returns a trace that passes Validate and survives an export and
+// re-parse unchanged, with the re-export byte-identical to the first.
+// The seed corpus lives in testdata/fuzz/FuzzReadJSONL; run with
+// `go test -run=NONE -fuzz=FuzzReadJSONL ./internal/scenario/`.
+func FuzzReadJSONL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tr, err := scenario.ReadJSONL(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("accepted an invalid trace: %v (input %q)", err, in)
+		}
+		var first bytes.Buffer
+		if err := tr.WriteJSONL(&first); err != nil {
+			t.Fatalf("exporting accepted trace: %v (input %q)", err, in)
+		}
+		back, err := scenario.ReadJSONL(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-parsing exported trace: %v (input %q)", err, in)
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v\n(input %q)", back, tr, in)
+		}
+		var second bytes.Buffer
+		if err := back.WriteJSONL(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-export not byte-identical:\n%s\n---\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -39,8 +39,8 @@ type memoEntry struct {
 }
 
 // memoWin is one retained scheduling window: per-thread grants, the
-// busy-seconds vector, the batched cycle commit, plus the input fingerprint
-// needed to prove a later window would reproduce it bit for bit.
+// busy-seconds vector, the clamped per-core busy nanos, plus the input
+// fingerprint needed to prove a later window would reproduce it bit for bit.
 type memoWin struct {
 	valid   bool
 	drained bool // starved-pool window: zero grants, every budget throttled
@@ -59,7 +59,7 @@ type memoWin struct {
 	throttled float64 // quota-denied seconds (non-zero only for drained windows)
 	entries   []memoEntry
 	busySec   []float64
-	nanos     []uint64 // clamped per-core busy nanos for the batched commit
+	nanos     []uint64 // clamped per-core busy nanos, re-checked against the CPU on replay
 	capped    []bool   // pressure fingerprint at record
 	capScale  []float64
 	prGen     uint64 // pressure generation tag at record (0 when untagged)
@@ -69,8 +69,8 @@ type memoWin struct {
 // The simulation's quiescent-tick fast path records a window on each full
 // scheduling pass and replays a retained one (ReplayInto) on every
 // subsequent tick whose inputs still match it (Match), skipping
-// snapshotting, sorting, and placement entirely while leaving thread state,
-// cycle accounting, and every float result byte-identical to the slow path.
+// snapshotting, sorting, and placement entirely while leaving thread state
+// and every float result byte-identical to the slow path.
 //
 // Validity is split between the Memo and its owner: Match proves the
 // thread-side inputs (runnable set, debts, affinity, pressure caps, pool
@@ -84,11 +84,15 @@ type memoWin struct {
 // pointers and is not safe for concurrent use; each Scheduler owner keeps
 // its own.
 type Memo struct {
-	next  int   // ring slot the next recording scribbles on
-	last  int   // slot of the most recent armed recording
-	hint  int   // ring slot of the most recent successful Match
-	armed bool  // whether the latest begin..finish pass armed its slot
-	seq   int64 // window sequence number, bumped once per Match call (one per tick)
+	next  int  // ring slot the next recording scribbles on
+	last  int  // slot of the most recent armed recording
+	hint  int  // ring slot of the most recent successful Match
+	armed bool // whether the latest begin..finish pass armed its slot
+	// rotating records that the most recent successful Match moved off the
+	// slot of the one before it: a rotation is advancing through the ring,
+	// so the slot after the hint is probed first.
+	rotating bool
+	seq      int64 // window sequence number, bumped once per Match call (one per tick)
 	// steadySince is the first sequence number of the current unbroken run
 	// of steady windows (0 while the run is broken). A slot verified at or
 	// before the run's start has had every subsequent tick vouched
@@ -132,7 +136,7 @@ func (m *Memo) Recycle() Memo {
 		w.dtSec, w.satCycles, w.poolUsed, w.executed, w.throttled = 0, 0, 0, 0, 0
 		w.verified = 0
 	}
-	r.next, r.last, r.hint, r.armed, r.seq, r.steadySince = 0, 0, 0, false, 0, 0
+	r.next, r.last, r.hint, r.armed, r.rotating, r.seq, r.steadySince = 0, 0, 0, false, false, 0, 0
 	return r
 }
 
@@ -226,12 +230,14 @@ func (m *Memo) finish(res Result, nanos []uint64, pr Pressure, limited bool, poo
 // before that must be re-proven by the counting scan. The caller separately
 // guarantees unchanged core frequencies and online states.
 //
-// Probe order is a latency heuristic only: rotations advance one ring slot
-// per window, so the slot after the last hit is tried first, then the last
-// hit itself (the quiescent case), then the rest most recent first. When
-// several slots match they hold byte-identical outcomes — each match is a
-// proof that the slot equals the unique slow-path result — so any probe
-// order returns an equally correct index.
+// Probe order is a latency heuristic only. A quiescent stretch hits the same
+// slot tick after tick, so the last hit is tried first; while the hits
+// rotate — each one a slot past the hit before, as oversubscribed phases
+// advance one ring slot per window — the slot after the last hit is tried
+// first instead. The other of the two follows, then the rest most recent
+// first. When several slots match they hold byte-identical outcomes — each
+// match is a proof that the slot equals the unique slow-path result — so
+// any probe order returns an equally correct index.
 //
 //mobicore:hotpath
 func (m *Memo) Match(threads []*Thread, steady bool, poolSec float64, pr Pressure) int {
@@ -243,19 +249,23 @@ func (m *Memo) Match(threads []*Thread, steady bool, poolSec float64, pr Pressur
 	} else {
 		m.steadySince = 0
 	}
-	var order [MemoRing]int
-	order[0] = (m.hint + 1) % MemoRing
-	order[1] = m.hint
-	n := 2
-	for off := 1; off <= MemoRing; off++ {
-		idx := (m.next - off + MemoRing) % MemoRing
-		if idx != order[0] && idx != order[1] {
-			order[n] = idx
-			n++
-		}
+	first, second := m.hint, (m.hint+1)%MemoRing
+	if m.rotating {
+		first, second = second, first
 	}
 	runnable := -1 // live runnable population, counted once on first need
-	for _, idx := range order[:n] {
+	for k := 0; k < MemoRing+2; k++ {
+		idx := first
+		switch k {
+		case 0:
+		case 1:
+			idx = second
+		default: // ring order, most recent recording first
+			idx = (m.next - (k - 1) + MemoRing) % MemoRing
+			if idx == first || idx == second {
+				continue
+			}
+		}
 		w := &m.wins[idx]
 		if !w.valid {
 			continue
@@ -271,6 +281,7 @@ func (m *Memo) Match(threads []*Thread, steady bool, poolSec float64, pr Pressur
 		}
 		if matchWin(w, threads, trusted, runnable, poolSec, pr) {
 			w.verified = m.seq
+			m.rotating = idx != m.hint
 			m.hint = idx
 			return idx
 		}
@@ -376,13 +387,13 @@ func matchWin(w *memoWin, threads []*Thread, trusted bool, runnable int, poolSec
 
 // ReplayInto re-applies the retained window in ring slot idx: each thread
 // drains its recorded grant on its recorded core, the busy-seconds vector
-// is copied into busy, and the batched cycle commit runs against cpu —
-// byte-identical side effects and Result to the full scheduling pass whose
-// inputs Match verified. The returned Result aliases busy, like
-// ScheduleThermalInto.
+// is copied into busy, and the recorded busy nanos pass cpu's placement
+// check again — byte-identical side effects and Result to the full
+// scheduling pass whose inputs Match verified. The returned Result aliases
+// busy, like ScheduleThermalInto.
 //
 //mobicore:hotpath
-func (m *Memo) ReplayInto(idx int, busy []float64, cpu *soc.CPU, dt time.Duration) (Result, error) {
+func (m *Memo) ReplayInto(idx int, busy []float64, cpu *soc.CPU) (Result, error) {
 	w := &m.wins[idx]
 	busy = reuse.Copy(busy, w.busySec)
 	for i := range w.entries {
@@ -391,7 +402,7 @@ func (m *Memo) ReplayInto(idx int, busy []float64, cpu *soc.CPU, dt time.Duratio
 			e.t.Execute(e.granted, e.core)
 		}
 	}
-	if err := cpu.RunBatch(w.nanos, uint64(dt.Nanoseconds())); err != nil {
+	if err := cpu.CheckPlacement(w.nanos); err != nil {
 		return Result{}, fmt.Errorf("sched: committing window: %w", err)
 	}
 	return Result{

@@ -73,10 +73,13 @@ func requireUniversesIdentical(t *testing.T, tick int, cpuA, cpuB *soc.CPU, thA,
 
 // runMemoVsSlow drives two identical universes for ticks windows: A takes the
 // memo fast path whenever Match accepts, B always runs the full scheduler.
-// Every tick's Result and both universes' complete state must stay
-// bit-identical; it returns how many of A's ticks replayed, split into
-// windows that had runnable backlog and idle (empty) windows.
-func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64) (fastBusy, fastIdle int) {
+// demand, when non-nil, scripts workload changes: it runs on each universe's
+// threads before every window and must act on thread state alone, so both
+// universes see the same change. Every tick's Result and both universes'
+// complete state must stay bit-identical; it returns how many of A's ticks
+// replayed, split into windows that had runnable backlog and idle (empty)
+// windows.
+func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64, demand func(tick int, threads []*Thread)) (fastBusy, fastIdle int) {
 	t.Helper()
 	cpuA, thA := memoFixture(t, pendings)
 	cpuB, thB := memoFixture(t, pendings)
@@ -87,6 +90,10 @@ func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64)
 	busyA := make([]float64, cpuA.NumCores())
 	busyB := make([]float64, cpuB.NumCores())
 	for tick := 0; tick < ticks; tick++ {
+		if demand != nil {
+			demand(tick, thA)
+			demand(tick, thB)
+		}
 		runnable := 0
 		for _, th := range thA {
 			if th.Runnable() {
@@ -96,7 +103,7 @@ func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64)
 		var resA Result
 		var err error
 		if idx := memo.Match(thA, false, poolSec, Pressure{}); idx >= 0 {
-			resA, err = memo.ReplayInto(idx, busyA, cpuA, dt)
+			resA, err = memo.ReplayInto(idx, busyA, cpuA)
 			if runnable > 0 {
 				fastBusy++
 			} else {
@@ -123,7 +130,7 @@ func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64)
 // full scheduling pass it stands in for.
 func TestMemoReplayMatchesFreshSchedule(t *testing.T) {
 	t.Run("saturated distinct debts", func(t *testing.T) {
-		fast, _ := runMemoVsSlow(t, []float64{4e12, 3e12, 2e12, 1e12}, 50, Unlimited)
+		fast, _ := runMemoVsSlow(t, []float64{4e12, 3e12, 2e12, 1e12}, 50, Unlimited, nil)
 		if fast < 45 {
 			t.Errorf("replayed %d of 50 ticks, want at least 45", fast)
 		}
@@ -131,7 +138,7 @@ func TestMemoReplayMatchesFreshSchedule(t *testing.T) {
 	t.Run("saturated under wide pool", func(t *testing.T) {
 		// A finite pool far above per-window consumption records limited
 		// windows that keep replaying while headroom holds.
-		fast, _ := runMemoVsSlow(t, []float64{4e12, 3e12, 2e12, 1e12}, 50, 1.0)
+		fast, _ := runMemoVsSlow(t, []float64{4e12, 3e12, 2e12, 1e12}, 50, 1.0, nil)
 		if fast < 45 {
 			t.Errorf("replayed %d of 50 ticks, want at least 45", fast)
 		}
@@ -140,16 +147,40 @@ func TestMemoReplayMatchesFreshSchedule(t *testing.T) {
 		// Eight equal saturated threads on four cores alternate between two
 		// serving halves with stable affinities; once both phases are
 		// recorded (tick 4 on) every tick replays from its own ring slot.
-		fast, _ := runMemoVsSlow(t, []float64{1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13}, 60, Unlimited)
+		fast, _ := runMemoVsSlow(t, []float64{1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13}, 60, Unlimited, nil)
 		if fast < 50 {
 			t.Errorf("replayed %d of 60 ticks, want at least 50", fast)
+		}
+	})
+	t.Run("rotation, quiescent stretch, rotation", func(t *testing.T) {
+		// The probe order follows the hits: the slot after the last hit
+		// while a 2-phase rotation alternates, the last hit itself while
+		// the window stands still. Eight equal saturated threads rotate,
+		// then the second half drains and the first four sit quiescent on
+		// their cores, then the second half returns at exactly the first
+		// half's debt and the rotation resumes.
+		fast, _ := runMemoVsSlow(t, []float64{1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13}, 90, Unlimited,
+			func(tick int, threads []*Thread) {
+				switch tick {
+				case 30:
+					for _, th := range threads[4:] {
+						th.DropWork(th.Pending())
+					}
+				case 60:
+					for _, th := range threads[4:] {
+						th.AddWork(threads[0].Pending())
+					}
+				}
+			})
+		if fast < 80 {
+			t.Errorf("replayed %d of 90 ticks, want at least 80", fast)
 		}
 	})
 	t.Run("rotation longer than ring falls back", func(t *testing.T) {
 		// Six equal saturated threads on four cores rotate affinities with a
 		// period beyond MemoRing, so no retained window ever matches again —
 		// the memo must fall back to the slow path, never to wrong output.
-		fast, _ := runMemoVsSlow(t, []float64{1e13, 1e13, 1e13, 1e13, 1e13, 1e13}, 30, Unlimited)
+		fast, _ := runMemoVsSlow(t, []float64{1e13, 1e13, 1e13, 1e13, 1e13, 1e13}, 30, Unlimited, nil)
 		if fast != 0 {
 			t.Errorf("replayed %d ticks of an unmemoizable rotation, want 0", fast)
 		}
@@ -160,7 +191,7 @@ func TestMemoReplayMatchesFreshSchedule(t *testing.T) {
 		// comes from the identity comparison, the count just documents that
 		// the memo never pretends a draining window is quiescent. Once the
 		// threads empty out, the idle windows replay trivially.
-		fastBusy, fastIdle := runMemoVsSlow(t, []float64{2e6, 1.5e6, 1e6, 0.5e6}, 10, Unlimited)
+		fastBusy, fastIdle := runMemoVsSlow(t, []float64{2e6, 1.5e6, 1e6, 0.5e6}, 10, Unlimited, nil)
 		if fastBusy != 0 {
 			t.Errorf("replayed %d busy unsaturated ticks, want 0", fastBusy)
 		}

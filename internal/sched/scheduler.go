@@ -45,8 +45,9 @@ func (r Result) UtilizationInto(dst []float64, dt time.Duration) []float64 {
 		}
 		return dst
 	}
+	dts := dt.Seconds()
 	for i, b := range r.BusySeconds {
-		dst[i] = b / dt.Seconds()
+		dst[i] = b / dts
 		if dst[i] > 1 {
 			dst[i] = 1
 		}
@@ -143,8 +144,8 @@ func (s *Scheduler) placer() Placer {
 // bandwidth): total busy seconds across all cores this window may not
 // exceed it, but any single core may run at full speed while the pool
 // lasts. Pass Unlimited (or any negative value) for no cap. Schedule
-// updates cpu cycle accounting via soc.CPU.Run and returns per-core busy
-// time plus the pool time actually consumed.
+// checks the placement against cpu's online mask (soc.CPU.CheckPlacement)
+// and returns per-core busy time plus the pool time actually consumed.
 func (s *Scheduler) Schedule(cpu *soc.CPU, threads []*Thread, dt time.Duration, poolSec float64) (Result, error) {
 	return s.ScheduleThermal(cpu, threads, dt, poolSec, Pressure{})
 }
@@ -183,20 +184,23 @@ func (s *Scheduler) ScheduleThermalInto(busy []float64, cpu *soc.CPU, threads []
 
 // ScheduleRecordInto is ScheduleThermalInto that additionally fingerprints
 // the window into rec for the quiescent-tick fast path: the per-thread
-// placements and grants, the busy vector, the batched commit, and the
-// pressure view are retained, and rec arms (rec.Valid) when the window is
-// replayable — no pool clamping and no throttling. satRate is the capacity
-// ceiling for the saturation classing (see Memo.begin); callers pass the
-// platform's top ladder frequency. A nil rec reproduces ScheduleThermalInto
-// exactly.
+// placements and grants, the busy vector, the clamped per-core busy nanos,
+// and the pressure view are retained, and rec arms (rec.Valid) when the
+// window is replayable — no pool clamping and no throttling. satRate is the
+// capacity ceiling for the saturation classing (see Memo.begin); callers
+// pass the platform's top ladder frequency. A nil rec reproduces
+// ScheduleThermalInto exactly.
 //
 // snap, when non-nil, is the caller's current view of the CPU — each core's
 // online state and programmed frequency, exactly as SnapshotInto would
 // report them — and the scheduler trusts it instead of taking its own
-// locked snapshot (the per-tick caller already maintains such a mirror).
-// Active/Idle distinctions in the view are ignored; only offline-ness and
-// frequency feed scheduling. A nil snap reproduces the self-snapshotting
-// behaviour.
+// snapshot (the per-tick caller already maintains such a mirror).
+// Active/Idle distinctions in the view are ignored on input; only
+// offline-ness and frequency feed scheduling. On return the scheduler has
+// marked each online core of the view StateActive when it executed this
+// window and StateIdle otherwise — the only Active/Idle state anywhere,
+// since the CPU itself keeps none. A nil snap reproduces the
+// self-snapshotting behaviour.
 //
 //mobicore:hotpath
 func (s *Scheduler) ScheduleRecordInto(rec *Memo, satRate float64, busy []float64, snap []soc.CoreSnapshot, cpu *soc.CPU, threads []*Thread, dt time.Duration, poolSec float64, pr Pressure) (Result, error) {
@@ -205,7 +209,7 @@ func (s *Scheduler) ScheduleRecordInto(rec *Memo, satRate float64, busy []float6
 
 // scheduleInto is the shared scheduling body; rec, when non-nil, records the
 // window into the memo (see ScheduleRecordInto); snap, when non-nil, is the
-// caller-maintained CPU view that replaces the locked snapshot.
+// caller-maintained CPU view that replaces the CPU snapshot.
 //
 //mobicore:hotpath
 func (s *Scheduler) scheduleInto(rec *Memo, satRate float64, busy []float64, snap []soc.CoreSnapshot, cpu *soc.CPU, threads []*Thread, dt time.Duration, poolSec float64, pr Pressure) (Result, error) {
@@ -361,9 +365,9 @@ func (s *Scheduler) scheduleInto(rec *Memo, satRate float64, busy []float64, sna
 		}
 	}
 
-	// Commit busy time to the SoC's cycle accounting in one batch, so the
-	// whole window pays a single CPU mutex round-trip instead of one per
-	// online core.
+	// Clamp the window's busy time to whole nanoseconds per core — the
+	// vector the CPU's placement check validates and the memo retains —
+	// and mark each online core Active or Idle in the caller's view.
 	nanos := s.busyNanos
 	if cap(nanos) < len(snap) {
 		//mobilint:ignore one-time scratch growth on first window or topology change
@@ -382,25 +386,16 @@ func (s *Scheduler) scheduleInto(rec *Memo, satRate float64, busy []float64, sna
 			b = windowNanos
 		}
 		nanos[i] = b
-	}
-	if err := cpu.RunBatch(nanos, windowNanos); err != nil {
-		return Result{}, fmt.Errorf("sched: committing window: %w", err)
-	}
-	if mirror {
-		// Keep the caller's CPU view current without another locked
-		// snapshot: RunBatch just set each online core Active or Idle by
-		// exactly this rule. (BusyCycles is not maintained — the mirror
-		// contract covers online state and operating point only.)
-		for i := range snap {
-			if !online[i] {
-				continue
-			}
-			if nanos[i] > 0 {
+		if mirror {
+			if b > 0 {
 				snap[i].State = soc.StateActive
 			} else {
 				snap[i].State = soc.StateIdle
 			}
 		}
+	}
+	if err := cpu.CheckPlacement(nanos); err != nil {
+		return Result{}, fmt.Errorf("sched: committing window: %w", err)
 	}
 	if rec != nil {
 		rec.finish(res, nanos, pr, limited, pool)

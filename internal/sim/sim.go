@@ -166,10 +166,11 @@ type Sim struct {
 	coreCluster []int                // core id -> cluster index (shared from the platform precompute)
 
 	now       time.Duration
+	tickSec   float64 // cfg.Tick in seconds, computed once per session
 	quota     float64
 	quotaPool float64  // shared bandwidth pool (seconds) remaining this period
 	requested []soc.Hz // manager-requested per-core frequency, pre thermal clamp
-	applied   []soc.Hz // mirror of each core's programmed frequency, so the per-tick re-clamp skips locked CPU reads
+	applied   []soc.Hz // mirror of each core's programmed frequency, so the per-tick re-clamp skips CPU reads
 	capGen    uint64   // thermal cap generation at the last re-clamp; the per-tick re-clamp runs only when a cap moved
 	prGen     uint64   // thermal cap generation of the cached pressure view (capped/capScale)
 
@@ -381,6 +382,7 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 		mon:         mon,
 		views:       views,
 		coreCluster: comp.CoreCluster,
+		tickSec:     cfg.Tick.Seconds(),
 		quota:       cfg.InitialQuota,
 		requested:   reuse.Zeroed(s.requested, n),
 		applied:     reuse.Zeroed(s.applied, n),
@@ -500,8 +502,7 @@ func (s *Sim) Quota() float64 { return s.quota }
 //
 //mobicore:hotpath
 func (s *Sim) Step() error {
-	dt := s.cfg.Tick
-	dts := dt.Seconds()
+	dt, dts := s.cfg.Tick, s.tickSec
 
 	// 1. Demand generation. The thread slice is per-tick scratch — the
 	// scheduler never retains it past the call. Workloads that implement
@@ -550,7 +551,7 @@ func (s *Sim) Step() error {
 	// this tick's scheduling decision and its CPU-side inputs are vouched
 	// unchanged, replay it and fuse the memoized integration tail.
 	if idx := s.memo.Match(threads, steady, pool, pr); idx >= 0 && s.fast[idx].valid {
-		return s.stepFast(dt, idx)
+		return s.stepFast(idx)
 	}
 
 	rec := &s.memo
@@ -579,9 +580,10 @@ func (s *Sim) Step() error {
 		f = &s.fast[s.memo.ArmedSlot()]
 	}
 	// The snapshot mirror is current: the scheduler wrote each online
-	// core's post-run Active/Idle state into it, and frequencies/online
-	// masks only move through applyFrequencies and samplePolicy, which
-	// both refresh it — so no locked snapshot is needed here.
+	// core's Active/Idle state for this window into it (the CPU keeps
+	// none), and frequencies/online masks only move through
+	// applyFrequencies and samplePolicy, which both refresh it — so no CPU
+	// snapshot is needed here.
 	snap := s.snap
 	loads := s.loads
 	util := res.UtilizationInto(s.util, dt)
@@ -683,15 +685,16 @@ func (s *Sim) Step() error {
 }
 
 // stepFast commits one quiescent tick: the retained scheduling window in
-// ring slot idx replays onto the threads and CPU (exact cycle accounting
-// included), and its memoized integration tail feeds the same power,
-// thermal, residency, and accounting updates the slow path would compute —
-// the same float values added in the same order, so every accumulator,
-// series, trace, and downstream report byte stays identical.
+// ring slot idx replays onto the threads (its placement re-checked against
+// the CPU's online mask), and its memoized integration tail feeds the same
+// power, thermal, residency, and accounting updates the slow path would
+// compute — the same float values added in the same order, so every
+// accumulator, series, trace, and downstream report byte stays identical.
 //
 //mobicore:hotpath
-func (s *Sim) stepFast(dt time.Duration, idx int) error {
-	res, err := s.memo.ReplayInto(idx, s.busySec, s.cpu, dt)
+func (s *Sim) stepFast(idx int) error {
+	dt, dts := s.cfg.Tick, s.tickSec
+	res, err := s.memo.ReplayInto(idx, s.busySec, s.cpu)
 	if err != nil {
 		return fmt.Errorf("sim: scheduling at %v: %w", s.now, err)
 	}
@@ -712,7 +715,6 @@ func (s *Sim) stepFast(dt time.Duration, idx int) error {
 		s.cfg.PowerTrace(s.now, dt, watts, per)
 	}
 	floorShare := base / float64(len(per))
-	dts := dt.Seconds()
 	for ci := range per {
 		s.zoneWatts[ci] = per[ci] + floorShare
 		s.clusterEnergyJ[ci] += per[ci] * dts
@@ -772,7 +774,7 @@ func (s *Sim) samplePolicy() error {
 
 	// The snapshot mirror is current on every field the policy input reads
 	// (online state and programmed frequency — refreshed on every
-	// reprogram, hotplug, and slow tick), so no locked snapshot is needed
+	// reprogram, hotplug, and slow tick), so no CPU snapshot is needed
 	// before the decision.
 	snap := s.snap
 	in := policy.Input{
@@ -845,7 +847,9 @@ func (s *Sim) samplePolicy() error {
 	s.quota = dec.Quota
 	s.refillQuota()
 
-	// Record the sampled series, aggregate and per-cluster.
+	// Record the sampled series, aggregate and per-cluster. The refresh
+	// brings the post-hotplug online mask into the mirror the scheduler
+	// trusts (online cores read back Idle; the next slow tick marks them).
 	snap = s.cpu.SnapshotInto(s.snap)
 	s.snap = snap
 	// A decision that actually moved a core's online state changes the
@@ -914,8 +918,8 @@ func (s *Sim) refillQuota() {
 // applyFrequencies programs each online core to its requested frequency,
 // clamped by the owning cluster's own thermal zone on its own ladder. The
 // applied mirror tracks what each core was last programmed to — only the
-// sim mutates core frequencies, so comparing against the mirror skips the
-// per-core locked CPU read the per-tick re-clamp used to pay.
+// sim mutates core frequencies, so comparing against the mirror skips a
+// per-core CPU read on every per-tick re-clamp.
 //
 //mobicore:hotpath
 func (s *Sim) applyFrequencies() error {
@@ -957,9 +961,10 @@ func (s *Sim) RunCtx(ctx context.Context, d time.Duration) (*Report, error) {
 		return nil, errors.New("sim: run duration must be positive")
 	}
 	end := s.now + d
+	done := ctx.Done()
 	for s.now < end {
 		select {
-		case <-ctx.Done():
+		case <-done:
 			return s.report(), ctx.Err()
 		default:
 		}
@@ -985,12 +990,13 @@ func (s *Sim) RunUntilDoneCtx(ctx context.Context, maxDur time.Duration) (*Repor
 		return nil, false, errors.New("sim: max duration must be positive")
 	}
 	end := s.now + maxDur
+	done := ctx.Done()
 	for s.now < end {
 		if allDone(s.cfg.Workloads) {
 			return s.report(), true, nil
 		}
 		select {
-		case <-ctx.Done():
+		case <-done:
 			return s.report(), false, ctx.Err()
 		default:
 		}

@@ -113,7 +113,7 @@ func TestStepAllocs(t *testing.T) {
 		}
 	})
 	// The warm tick loop is fully pooled: scheduler results reuse the
-	// Sim's busy-seconds buffer, the CPU commits under one batched lock,
+	// Sim's busy-seconds buffer, the CPU's placement check writes nothing,
 	// and every per-sample slice draws from arena-style scratch. The
 	// fractional budget tolerates rare runtime-internal noise only.
 	const budget = 0.5

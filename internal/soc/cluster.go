@@ -150,8 +150,6 @@ func (c *CPU) ClusterOnlineCount(ci int) (int, error) {
 	if ci < 0 || ci >= len(c.clusters) {
 		return 0, fmt.Errorf("%w: %d (have %d clusters)", ErrInvalidCluster, ci, len(c.clusters))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n := 0
 	for id, owner := range c.coreCluster {
 		if owner == ci && c.cores[id].Online() {
@@ -173,8 +171,6 @@ func (c *CPU) SetClusterFreq(ci int, freq Hz) error {
 	if c.clusters[ci].Table.IndexOf(freq) < 0 {
 		return fmt.Errorf("%w: %v (cluster %s)", ErrBadFrequency, freq, c.clusters[ci].Name)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for id, owner := range c.coreCluster {
 		if owner != ci {
 			continue
@@ -202,8 +198,6 @@ func (c *CPU) SetClusterOnlineCount(ci, n int) error {
 	if n > c.clusters[ci].NumCores {
 		n = c.clusters[ci].NumCores
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	onlineIn, onlineElsewhere := 0, 0
 	for id, owner := range c.coreCluster {
 		if !c.cores[id].Online() {
@@ -218,7 +212,7 @@ func (c *CPU) SetClusterOnlineCount(ci, n int) error {
 	if n == 0 && onlineElsewhere == 0 {
 		return ErrNoOnlineCore
 	}
-	ids := c.clusterCoreIDsLocked(ci)
+	ids, _ := c.ClusterCoreIDs(ci)
 	for _, id := range ids { // online from the lowest id
 		if onlineIn >= n {
 			break
@@ -235,17 +229,4 @@ func (c *CPU) SetClusterOnlineCount(ci, n int) error {
 		}
 	}
 	return nil
-}
-
-// clusterCoreIDsLocked is ClusterCoreIDs without locking or index
-// validation (the caller has already checked ci), for use while c.mu is
-// held.
-func (c *CPU) clusterCoreIDsLocked(ci int) []int {
-	ids := make([]int, 0, c.clusters[ci].NumCores)
-	for id, owner := range c.coreCluster {
-		if owner == ci {
-			ids = append(ids, id)
-		}
-	}
-	return ids
 }

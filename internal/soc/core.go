@@ -3,7 +3,6 @@ package soc
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // CoreState is the power state of a single CPU core (§2.1 of the thesis).
@@ -41,20 +40,16 @@ var (
 	ErrBadFrequency = errors.New("soc: frequency is not an operating point")
 )
 
-// Core is one CPU core. It tracks its state, current operating point, and
-// cumulative busy/idle cycle accounting. Core is not safe for concurrent use;
-// the owning CPU serializes access.
+// Core is one CPU core: its hotplug state and programmed operating point.
+// It keeps no execution history — a core is online (StateIdle) or offline,
+// and whether it executed in a given window is the scheduler's report, not
+// core state. Core is not safe for concurrent use, like its owning CPU.
 type Core struct {
 	id    int
 	table *OPPTable
 
 	state CoreState
 	opp   OPP
-
-	// Cycle accounting since construction.
-	busyCycles  uint64
-	totalActive uint64 // nanoseconds spent online (active or idle)
-	busyNanos   uint64 // nanoseconds spent executing
 }
 
 // newCore constructs an online, idle core at the table's minimum frequency.
@@ -65,10 +60,11 @@ func newCore(id int, table *OPPTable) *Core {
 // ID returns the core's index within its CPU.
 func (c *Core) ID() int { return c.id }
 
-// State returns the core's current power state.
+// State returns the core's hotplug state: StateIdle while online,
+// StateOffline otherwise.
 func (c *Core) State() CoreState { return c.state }
 
-// Online reports whether the core is idle or active.
+// Online reports whether the core is online.
 func (c *Core) Online() bool { return c.state != StateOffline }
 
 // Freq returns the core's programmed frequency. Offline cores report the
@@ -80,9 +76,6 @@ func (c *Core) Volt() Volt { return c.opp.Volt }
 
 // OPP returns the core's full programmed operating point.
 func (c *Core) OPP() OPP { return c.opp }
-
-// BusyCycles returns cumulative executed cycles.
-func (c *Core) BusyCycles() uint64 { return c.busyCycles }
 
 // setFreq programs an exact operating point.
 func (c *Core) setFreq(freq Hz) error {
@@ -96,9 +89,12 @@ func (c *Core) setFreq(freq Hz) error {
 
 // CPU is a multi-core processor with per-core DVFS (each core has its own
 // rail, as on the MSM8974) and hotplug, organized as one or more clusters
-// (frequency domains). CPU is safe for concurrent use.
+// (frequency domains). It is configuration only — the online mask and each
+// core's operating point — and keeps no per-window execution state: a
+// window's busy time lives in the scheduler's result and the caller's
+// snapshot mirror. A CPU has a single owner (each simulation builds its
+// own) and is not safe for concurrent use.
 type CPU struct {
-	mu          sync.Mutex
 	cores       []*Core
 	table       *OPPTable // first cluster's table, the homogeneous view
 	clusters    []Cluster
@@ -130,8 +126,6 @@ func (c *CPU) Table() *OPPTable { return c.table }
 
 // OnlineCount returns the number of online cores.
 func (c *CPU) OnlineCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n := 0
 	for _, core := range c.cores {
 		if core.Online() {
@@ -143,8 +137,6 @@ func (c *CPU) OnlineCount() int {
 
 // OnlineIDs returns the ids of all online cores in ascending order.
 func (c *CPU) OnlineIDs() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	ids := make([]int, 0, len(c.cores))
 	for _, core := range c.cores {
 		if core.Online() {
@@ -154,14 +146,16 @@ func (c *CPU) OnlineIDs() []int {
 	return ids
 }
 
-// CoreSnapshot is an immutable view of one core, safe to hold across ticks.
+// CoreSnapshot is a value copy of one core, safe to hold across ticks. A
+// CPU reports online cores as StateIdle; a scheduler that keeps a snapshot
+// as its view of the CPU marks the cores that executed in its window
+// StateActive.
 type CoreSnapshot struct {
-	ID         int
-	Cluster    int // owning cluster index; 0 on homogeneous CPUs
-	State      CoreState
-	Freq       Hz
-	Volt       Volt
-	BusyCycles uint64
+	ID      int
+	Cluster int // owning cluster index; 0 on homogeneous CPUs
+	State   CoreState
+	Freq    Hz
+	Volt    Volt
 }
 
 // Snapshot captures the state of every core.
@@ -176,8 +170,6 @@ func (c *CPU) Snapshot() []CoreSnapshot {
 //
 //mobicore:hotpath
 func (c *CPU) SnapshotInto(dst []CoreSnapshot) []CoreSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if cap(dst) < len(c.cores) {
 		//mobilint:ignore one-time buffer growth; steady-state callers pass a full-size buffer
 		dst = make([]CoreSnapshot, len(c.cores))
@@ -185,12 +177,11 @@ func (c *CPU) SnapshotInto(dst []CoreSnapshot) []CoreSnapshot {
 	dst = dst[:len(c.cores)]
 	for i, core := range c.cores {
 		dst[i] = CoreSnapshot{
-			ID:         core.id,
-			Cluster:    c.coreCluster[i],
-			State:      core.state,
-			Freq:       core.opp.Freq,
-			Volt:       core.opp.Volt,
-			BusyCycles: core.busyCycles,
+			ID:      core.id,
+			Cluster: c.coreCluster[i],
+			State:   core.state,
+			Freq:    core.opp.Freq,
+			Volt:    core.opp.Volt,
 		}
 	}
 	return dst
@@ -198,8 +189,6 @@ func (c *CPU) SnapshotInto(dst []CoreSnapshot) []CoreSnapshot {
 
 // SetFreq programs core id to the exact operating frequency freq.
 func (c *CPU) SetFreq(id int, freq Hz) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	core, err := c.core(id)
 	if err != nil {
 		return err
@@ -211,8 +200,6 @@ func (c *CPU) SetFreq(id int, freq Hz) error {
 // an operating point of every cluster's table, so on heterogeneous CPUs use
 // SetClusterFreq per domain instead.
 func (c *CPU) SetFreqAll(freq Hz) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, cl := range c.clusters {
 		if cl.Table.IndexOf(freq) < 0 {
 			return fmt.Errorf("%w: %v (cluster %s)", ErrBadFrequency, freq, cl.Name)
@@ -230,8 +217,6 @@ func (c *CPU) SetFreqAll(freq Hz) error {
 
 // Freq returns core id's programmed frequency.
 func (c *CPU) Freq(id int) (Hz, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	core, err := c.core(id)
 	if err != nil {
 		return 0, err
@@ -242,8 +227,6 @@ func (c *CPU) Freq(id int) (Hz, error) {
 // Online brings core id online (into the idle state). Bringing an online
 // core online is a no-op, matching the kernel's hotplug semantics.
 func (c *CPU) Online(id int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	core, err := c.core(id)
 	if err != nil {
 		return err
@@ -258,8 +241,6 @@ func (c *CPU) Online(id int) error {
 // offlined: the kernel forbids it and so do we, because a zero-core system
 // has no meaning.
 func (c *CPU) Offline(id int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	core, err := c.core(id)
 	if err != nil {
 		return err
@@ -290,8 +271,6 @@ func (c *CPU) SetOnlineCount(n int) error {
 	if n > len(c.cores) {
 		n = len(c.cores)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	online := 0
 	for _, core := range c.cores {
 		if core.Online() {
@@ -315,72 +294,20 @@ func (c *CPU) SetOnlineCount(n int) error {
 	return nil
 }
 
-// Run executes busyNanos of work on core id within a window of windowNanos,
-// updating state and cycle accounting. busyNanos is clamped to windowNanos.
-// It returns the number of cycles executed. Calling Run on an offline core
-// returns ErrCoreOffline: the scheduler must never place work there.
+// CheckPlacement validates one scheduling window's per-core busy time
+// against the online mask: busyNanos must have one entry per core
+// (ErrInvalidCore otherwise), and an offline core must have none
+// (ErrCoreOffline) — the scheduler must never place work there. It changes
+// nothing; the CPU keeps no execution accounting.
 //
 //mobicore:hotpath
-func (c *CPU) Run(id int, busyNanos, windowNanos uint64) (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	core, err := c.core(id)
-	if err != nil {
-		return 0, err
-	}
-	if !core.Online() {
-		return 0, fmt.Errorf("%w: core %d", ErrCoreOffline, id)
-	}
-	if busyNanos > windowNanos {
-		busyNanos = windowNanos
-	}
-	cycles := uint64(float64(core.opp.Freq) * float64(busyNanos) / 1e9)
-	core.busyCycles += cycles
-	core.busyNanos += busyNanos
-	core.totalActive += windowNanos
-	if busyNanos > 0 {
-		core.state = StateActive
-	} else {
-		core.state = StateIdle
-	}
-	return cycles, nil
-}
-
-// RunBatch commits one scheduling window for every core under a single
-// lock: busyNanos[i] nanoseconds of execution on core i within a window of
-// windowNanos. Entries are clamped to the window. Offline cores are skipped
-// when their entry is zero and rejected (ErrCoreOffline) otherwise — the
-// scheduler must never place work on them. The per-core math is exactly
-// Run's, so a batch commit is bit-identical to len(busyNanos) Run calls;
-// the batch exists because the per-tick commit loop otherwise pays one
-// mutex round-trip per core.
-//
-//mobicore:hotpath
-func (c *CPU) RunBatch(busyNanos []uint64, windowNanos uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *CPU) CheckPlacement(busyNanos []uint64) error {
 	if len(busyNanos) != len(c.cores) {
 		return fmt.Errorf("%w: batch of %d busy entries for %d cores", ErrInvalidCore, len(busyNanos), len(c.cores))
 	}
-	for i, core := range c.cores {
-		b := busyNanos[i]
-		if !core.Online() {
-			if b > 0 {
-				return fmt.Errorf("%w: core %d", ErrCoreOffline, i)
-			}
-			continue
-		}
-		if b > windowNanos {
-			b = windowNanos
-		}
-		cycles := uint64(float64(core.opp.Freq) * float64(b) / 1e9)
-		core.busyCycles += cycles
-		core.busyNanos += b
-		core.totalActive += windowNanos
-		if b > 0 {
-			core.state = StateActive
-		} else {
-			core.state = StateIdle
+	for i, b := range busyNanos {
+		if b > 0 && !c.cores[i].Online() {
+			return fmt.Errorf("%w: core %d", ErrCoreOffline, i)
 		}
 	}
 	return nil
@@ -389,8 +316,6 @@ func (c *CPU) RunBatch(busyNanos []uint64, windowNanos uint64) error {
 // CapacityCyclesPerSec returns the aggregate cycles/second of all online
 // cores at their current frequencies — the headroom the scheduler has.
 func (c *CPU) CapacityCyclesPerSec() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var total float64
 	for _, core := range c.cores {
 		if core.Online() {

@@ -121,58 +121,25 @@ func TestSetOnlineCount(t *testing.T) {
 	}
 }
 
-func TestRunAccounting(t *testing.T) {
-	cpu := newTestCPU(t)
-	if err := cpu.SetFreq(0, 1_036_800*KHz); err != nil {
-		t.Fatal(err)
-	}
-	// 1 ms fully busy at 1.0368 GHz ≈ 1.0368e6 cycles.
-	cycles, err := cpu.Run(0, 1_000_000, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := uint64(1_036_800)
-	if cycles != want {
-		t.Errorf("cycles = %d, want %d", cycles, want)
-	}
-	snap := cpu.Snapshot()
-	if snap[0].State != StateActive {
-		t.Errorf("busy core state = %v, want active", snap[0].State)
-	}
-	if snap[0].BusyCycles != want {
-		t.Errorf("accumulated cycles = %d, want %d", snap[0].BusyCycles, want)
-	}
-	// An idle window flips the core back to idle.
-	if _, err := cpu.Run(0, 0, 1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if got := cpu.Snapshot()[0].State; got != StateIdle {
-		t.Errorf("idle core state = %v, want idle", got)
-	}
-}
-
+// TestRunOnOfflineCore: the placement check follows hotplug — work on a
+// core is rejected while it is offline and accepted again once it is back.
 func TestRunOnOfflineCore(t *testing.T) {
 	cpu := newTestCPU(t)
 	if err := cpu.Offline(3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cpu.Run(3, 1000, 1000); !errors.Is(err, ErrCoreOffline) {
-		t.Errorf("Run on offline core error = %v, want ErrCoreOffline", err)
+	work := []uint64{0, 0, 0, 1000}
+	if err := cpu.CheckPlacement(work); !errors.Is(err, ErrCoreOffline) {
+		t.Errorf("CheckPlacement(work on offline core) error = %v, want ErrCoreOffline", err)
 	}
-}
-
-func TestRunClampsBusyToWindow(t *testing.T) {
-	cpu := newTestCPU(t)
-	c1, err := cpu.Run(0, 2_000_000, 1_000_000)
-	if err != nil {
+	if err := cpu.CheckPlacement([]uint64{1000, 0, 0, 0}); err != nil {
+		t.Errorf("CheckPlacement(work on online core) error = %v", err)
+	}
+	if err := cpu.Online(3); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := cpu.Run(1, 1_000_000, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Errorf("clamped busy executed %d cycles, full window executed %d", c1, c2)
+	if err := cpu.CheckPlacement(work); err != nil {
+		t.Errorf("CheckPlacement after re-online error = %v", err)
 	}
 }
 
@@ -209,56 +176,22 @@ func TestCoreStateString(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesRunLoop: a batch commit must be bit-identical to the
-// equivalent sequence of per-core Run calls — same cycles, same states,
-// same snapshots.
-func TestRunBatchMatchesRunLoop(t *testing.T) {
-	loop := newTestCPU(t)
-	batch := newTestCPU(t)
-	for _, cpu := range []*CPU{loop, batch} {
-		if err := cpu.SetFreq(1, 1_036_800*KHz); err != nil {
-			t.Fatal(err)
-		}
-		if err := cpu.Offline(3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const window = 1_000_000
-	// Mixed load: busy, partial, idle, offline-with-zero; the last entry
-	// also exercises clamping (busy > window).
-	busy := []uint64{window, 417_000, 0, 0}
-	busy[0] = window + 5_000 // clamped
-	for id, b := range busy {
-		if id == 3 {
-			continue // offline: the old loop never called Run there
-		}
-		if _, err := loop.Run(id, b, window); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := batch.RunBatch(busy, window); err != nil {
-		t.Fatal(err)
-	}
-	a, b := loop.Snapshot(), batch.Snapshot()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("core %d: loop %+v != batch %+v", i, a[i], b[i])
-		}
-	}
-}
-
 // TestRunBatchRejectsOfflineWork: placing work on an offline core is a
-// scheduler bug and must fail loudly, exactly like Run.
+// scheduler bug and must fail loudly, and a busy vector must cover every
+// core.
 func TestRunBatchRejectsOfflineWork(t *testing.T) {
 	cpu := newTestCPU(t)
 	if err := cpu.Offline(3); err != nil {
 		t.Fatal(err)
 	}
-	err := cpu.RunBatch([]uint64{0, 0, 0, 1}, 1_000_000)
+	err := cpu.CheckPlacement([]uint64{0, 0, 0, 1})
 	if !errors.Is(err, ErrCoreOffline) {
-		t.Errorf("RunBatch(offline work) error = %v, want ErrCoreOffline", err)
+		t.Errorf("CheckPlacement(offline work) error = %v, want ErrCoreOffline", err)
 	}
-	if err := cpu.RunBatch([]uint64{0, 0, 0}, 1_000_000); !errors.Is(err, ErrInvalidCore) {
-		t.Errorf("RunBatch(short slice) error = %v, want ErrInvalidCore", err)
+	if err := cpu.CheckPlacement([]uint64{0, 0, 0}); !errors.Is(err, ErrInvalidCore) {
+		t.Errorf("CheckPlacement(short slice) error = %v, want ErrInvalidCore", err)
+	}
+	if err := cpu.CheckPlacement([]uint64{1, 1, 1, 0}); err != nil {
+		t.Errorf("CheckPlacement(online work) error = %v", err)
 	}
 }
