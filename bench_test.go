@@ -21,6 +21,7 @@ import (
 	"mobicore/internal/power"
 	"mobicore/internal/scenario"
 	"mobicore/internal/sim"
+	"mobicore/internal/stack"
 	"mobicore/internal/workload"
 )
 
@@ -439,6 +440,13 @@ func perTickFused(b *testing.B, plat platform.Platform, mgr policy.Manager, thre
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchSteps(b, s)
+}
+
+// benchSteps is the shared tick benchmark loop: it times b.N Steps of s and
+// reports the share the quiescent-tick fast path served.
+func benchSteps(b *testing.B, s *sim.Sim) {
+	b.Helper()
 	// Reserve the sampled series for the whole measured run — the
 	// steady-state arrangement every fleet session gets from
 	// SessionSpec.NewIn — so series growth does not pollute the per-tick
@@ -528,19 +536,39 @@ func BenchmarkScenarioTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.Reserve(100*time.Millisecond + time.Duration(b.N)*time.Millisecond)
-	if _, err := s.Run(100 * time.Millisecond); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	fastStart := s.FastTicks()
-	for i := 0; i < b.N; i++ {
-		if err := s.Step(); err != nil {
-			b.Fatal(err)
+	benchSteps(b, s)
+}
+
+// BenchmarkNoisyTick measures the slow tick: the noisy-fleet sinusoid
+// (4 threads, 1.2e9 cycles/s, amplitude 0.6, period 2 s, noise 0.2) draws
+// fresh demand every tick, so the memo rarely replays and nearly every tick
+// pays full scheduling, power and thermal work. It runs under MobiCore on a
+// single-domain and a three-cluster platform with both placers;
+// fast-tick-ratio shows how little the fast path serves.
+func BenchmarkNoisyTick(b *testing.B) {
+	for _, alias := range []string{"nexus5", "sd855"} {
+		for _, placer := range []string{sim.PlacerGreedy, sim.PlacerEAS} {
+			b.Run(alias+"/"+placer, func(b *testing.B) {
+				plat, err := platform.ByName(alias)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mgr, err := stack.Build("mobicore", plat)
+				if err != nil {
+					b.Fatal(err)
+				}
+				w, err := workload.NewSinusoid("noisy", 4, 1.2e9, 0.6, 2*time.Second, 0.2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s, err := sim.New(sim.Config{Platform: plat, Manager: mgr, Workloads: []workload.Workload{w}, Seed: 1, Placer: placer})
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSteps(b, s)
+			})
 		}
 	}
-	b.ReportMetric(float64(s.FastTicks()-fastStart)/float64(b.N), "fast-tick-ratio")
 }
 
 // BenchmarkPlaceEAS measures the per-tick cost of the EAS placement hot

@@ -95,11 +95,21 @@ func (d *Domain) Capacity() float64 { return d.freqs[len(d.freqs)-1] }
 //
 //mobicore:hotpath
 func (d *Domain) OPPForRate(rate float64) int {
-	i := sort.SearchFloat64s(d.freqs, rate)
-	if i == len(d.freqs) {
+	// sort.SearchFloat64s written out: the first index whose frequency is
+	// >= rate, without the per-probe predicate call.
+	lo, hi := 0, len(d.freqs)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if !(d.freqs[h] >= rate) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo == len(d.freqs) {
 		return len(d.freqs) - 1
 	}
-	return i
+	return lo
 }
 
 // EnergyPerCycle returns the cost of one cycle executed at the OPP the

@@ -2,6 +2,7 @@ package em_test
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"mobicore/internal/em"
@@ -111,6 +112,38 @@ func TestOPPForRate(t *testing.T) {
 	for _, c := range cases {
 		if got := d.OPPForRate(c.rate); got != c.want {
 			t.Errorf("OPPForRate(%v) = %d, want %d", c.rate, got, c.want)
+		}
+	}
+}
+
+// TestOPPForRateMatchesSearch: the written-out binary search agrees with
+// sort.SearchFloat64s (clamped to the top bin) on every platform ladder,
+// at each bin, just around it, and at extreme and non-finite rates.
+func TestOPPForRateMatchesSearch(t *testing.T) {
+	for name, mk := range platform.Profiles() {
+		comp, err := mk().Compiled()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for di := 0; di < comp.EM.NumDomains(); di++ {
+			d := comp.EM.Domain(di)
+			freqs := make([]float64, d.NumOPPs())
+			for i := range freqs {
+				freqs[i] = d.FreqAt(i)
+			}
+			rates := []float64{math.Inf(-1), -1, 0, math.Inf(1), math.NaN(), math.MaxFloat64}
+			for _, f := range freqs {
+				rates = append(rates, f, math.Nextafter(f, 0), math.Nextafter(f, math.Inf(1)))
+			}
+			for _, r := range rates {
+				want := sort.SearchFloat64s(freqs, r)
+				if want == len(freqs) {
+					want = len(freqs) - 1
+				}
+				if got := d.OPPForRate(r); got != want {
+					t.Errorf("%s domain %d: OPPForRate(%v) = %d, want %d", name, di, r, got, want)
+				}
+			}
 		}
 	}
 }

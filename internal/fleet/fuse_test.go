@@ -13,17 +13,33 @@ import (
 	"time"
 
 	"mobicore/internal/platform"
+	"mobicore/internal/sim"
+	"mobicore/internal/workload"
 )
 
-// fuseSpec builds a randomized-but-reproducible matrix: both platforms, both
-// policies, a fixed-seed random assortment of busy loops plus a trace-driven
-// game. The randomness is in the spec construction only — every run of the
-// test sees the same matrix, but the utilizations and thread counts are not
-// hand-picked round numbers the fast path could accidentally specialize to.
+// fuseSpec builds a randomized-but-reproducible matrix: one single-domain,
+// one two-cluster and one three-cluster platform, both policies, both
+// placers, a fixed-seed random assortment of busy loops plus a trace-driven
+// game, a day-in-the-life scenario, and a sinusoid with per-tick noise whose
+// fresh demand every window defeats the memo (the windows it does not
+// record must still leave fused output identical). The randomness is in the
+// spec construction only — every run of the test sees the same matrix, but
+// the utilizations and thread counts are not hand-picked round numbers the
+// fast path could accidentally specialize to.
 func fuseSpec(t *testing.T, par int, noFuse bool, storeDir, traceDir string) Spec {
 	t.Helper()
 	rng := rand.New(rand.NewSource(0xf05e))
-	workloads := []WorkloadFactory{gameFactory(t), scenarioFactory("dayinlife")}
+	noisy := WorkloadFactory{
+		Name: "sinusoid-4x1.2e9-a0.6-p2s-n0.2",
+		New: func() ([]workload.Workload, error) {
+			w, err := workload.NewSinusoid("noisy", 4, 1.2e9, 0.6, 2*time.Second, 0.2)
+			if err != nil {
+				return nil, err
+			}
+			return []workload.Workload{w}, nil
+		},
+	}
+	workloads := []WorkloadFactory{gameFactory(t), scenarioFactory("dayinlife"), noisy}
 	for i := 0; i < 3; i++ {
 		util := 0.15 + 0.7*rng.Float64()
 		threads := 1 + rng.Intn(6)
@@ -34,9 +50,10 @@ func fuseSpec(t *testing.T, par int, noFuse bool, storeDir, traceDir string) Spe
 		workloads = append(workloads, f)
 	}
 	return Spec{
-		Platforms: []platform.Platform{platform.Nexus5(), platform.Nexus6P()},
+		Platforms: []platform.Platform{platform.Nexus5(), platform.Nexus6P(), platform.SD855()},
 		Policies:  []PolicyFactory{Policy("android-default"), Policy("mobicore")},
 		Workloads: workloads,
+		Placers:   []string{sim.PlacerGreedy, sim.PlacerEAS},
 		Seeds:     []int64{1, 2},
 		Duration:  time.Second,
 		Parallel:  par,

@@ -130,7 +130,10 @@ type Store struct {
 // lock, and loads any existing records from its cells file. A missing
 // cells file is an empty store; a malformed line is an error (the store is
 // a cache of expensive runs — silently dropping records would silently
-// re-run them). A held lock is an error too: before the lock existed, two
+// re-run them). So is a line Resume could not trust: a key that is not its
+// identity's hash (Get would serve it to a different cell), or a key
+// repeated with a different record (one of the two ran different physics);
+// an identical repeat is accepted, as PutChecked accepts it. A held lock is an error too: before the lock existed, two
 // concurrent writers would each rewrite the file from their own view and
 // the last rename silently dropped the other's records. Callers must
 // Close the store to release the lock.
@@ -209,7 +212,12 @@ func (s *Store) load() error {
 		if rec.Key == "" {
 			return fmt.Errorf("store: %s line %d: record without key", path, line)
 		}
-		s.recs[rec.Key] = rec
+		if want := rec.Identity.Key(); rec.Key != want {
+			return fmt.Errorf("store: %s line %d: key %s does not match its identity (hash %s)", path, line, rec.Key, want)
+		}
+		if _, err := s.PutChecked(rec); err != nil {
+			return fmt.Errorf("store: %s line %d: %w", path, line, err)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("store: reading %s: %w", path, err)

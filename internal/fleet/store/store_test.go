@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -189,7 +190,11 @@ func TestIncrementalMergeMatchesCold(t *testing.T) {
 
 func TestOpenRejectsCorruptLine(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, CellsFile), []byte("{\"key\":\"ab\"}\nnot json\n"), 0o644); err != nil {
+	good, err := json.Marshal(testRecord(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, CellsFile), append(good, "\nnot json\n"...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "line 2") {

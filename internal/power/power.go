@@ -137,24 +137,38 @@ func (m *Model) DynamicWatts(opp soc.OPP, util float64) float64 {
 //
 //mobicore:hotpath
 func (m *Model) CoreWatts(state soc.CoreState, opp soc.OPP, util float64) float64 {
-	if state == soc.StateOffline {
+	c := CoreLoad{State: state, OPP: opp, OPPIndex: -1, Util: util}
+	return m.coreWatts(&c)
+}
+
+// coreWatts is CoreWatts for one load, whose OPPIndex spares the leak
+// lookup its table search.
+//
+//mobicore:hotpath
+func (m *Model) coreWatts(c *CoreLoad) float64 {
+	if c.State == soc.StateOffline {
 		return m.params.OfflineWatts
 	}
-	leak := m.leakAtOPP(opp)
-	if state == soc.StateIdle && util == 0 {
+	leak := m.leakAtOPP(c.OPP, c.OPPIndex)
+	if c.State == soc.StateIdle && c.Util == 0 {
 		leak *= m.idleLeakFraction()
 	}
-	return leak + m.DynamicWatts(opp, util)
+	return leak + m.DynamicWatts(c.OPP, c.Util)
 }
 
 // leakAtOPP resolves an operating point's static power from the
 // precomputed per-OPP table when the point matches a table entry exactly,
 // falling back to the live curve for off-ladder points (a caller-supplied
-// OPP with a nonstandard voltage). Table hits — the entire per-tick path —
-// skip math.Pow.
+// OPP with a nonstandard voltage). idx is the caller's claim of the
+// point's ladder position: when the entry there equals opp it answers
+// directly — the entire per-tick path — and otherwise the table is
+// searched. Table hits skip math.Pow.
 //
 //mobicore:hotpath
-func (m *Model) leakAtOPP(opp soc.OPP) float64 {
+func (m *Model) leakAtOPP(opp soc.OPP, idx int) float64 {
+	if uint(idx) < uint(len(m.leakAt)) && m.table.At(idx) == opp {
+		return m.leakAt[idx]
+	}
 	if i := m.table.IndexOf(opp.Freq); i >= 0 && m.table.At(i).Volt == opp.Volt {
 		return m.leakAt[i]
 	}
@@ -184,10 +198,16 @@ func (m *Model) CacheWatts(busyFrac float64, topFreq soc.Hz) float64 {
 }
 
 // CoreLoad is one core's contribution to a system power evaluation.
+// OPPIndex is OPP's position on the core's cluster ladder when the caller
+// knows it (soc.CoreSnapshot.OPPIndex): the leak lookup reads the per-OPP
+// table there after checking the entry equals OPP, and searches the ladder
+// only when it does not — so a wrong or zero index costs a search, never a
+// wrong figure.
 type CoreLoad struct {
-	State soc.CoreState
-	OPP   soc.OPP
-	Util  float64 // busy fraction in [0,1]
+	State    soc.CoreState
+	OPP      soc.OPP
+	OPPIndex int
+	Util     float64 // busy fraction in [0,1]
 }
 
 // SystemWatts evaluates Eq. 3/4: platform base + cache + per-core terms.
@@ -204,8 +224,9 @@ func (m *Model) ClusterWatts(cores []CoreLoad) float64 {
 	total := 0.0
 	anyBusy := 0.0
 	var topFreq soc.Hz
-	for _, c := range cores {
-		total += m.CoreWatts(c.State, c.OPP, c.Util)
+	for i := range cores {
+		c := &cores[i]
+		total += m.coreWatts(c)
 		if c.State != soc.StateOffline {
 			if c.Util > anyBusy {
 				anyBusy = c.Util

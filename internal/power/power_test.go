@@ -316,23 +316,29 @@ func TestMeter(t *testing.T) {
 
 // TestLeakTableMatchesLiveCurve: the per-OPP leak precompute must be
 // bit-identical to the live LeakWatts curve at every ladder point — it is
-// built by the exact same expression — and off-ladder operating points
-// (table frequency at a nonstandard voltage) must fall back to the curve.
+// built by the exact same expression — whether the caller passes the
+// point's ladder index, no index, or a wrong one; and off-ladder operating
+// points (table frequency at a nonstandard voltage) must fall back to the
+// curve even when they claim the index of their frequency.
 func TestLeakTableMatchesLiveCurve(t *testing.T) {
 	m := newModel(t)
 	table := soc.MSM8974Table()
-	for i := 0; i < table.Len(); i++ {
+	n := table.Len()
+	for i := 0; i < n; i++ {
 		opp := table.At(i)
-		got := m.leakAtOPP(opp)
 		want := m.LeakWatts(opp.Volt)
-		if got != want {
-			t.Errorf("OPP %v: table leak %v != live %v", opp.Freq, got, want)
+		for _, idx := range []int{i, -1, (i + 1) % n, n} {
+			if got := m.leakAtOPP(opp, idx); got != want {
+				t.Errorf("OPP %v index %d: table leak %v != live %v", opp.Freq, idx, got, want)
+			}
 		}
 	}
 	// Off-ladder voltage at an on-ladder frequency must not hit the table.
 	odd := soc.OPP{Freq: table.Max().Freq, Volt: table.Max().Volt + 0.01}
-	if got, want := m.leakAtOPP(odd), m.LeakWatts(odd.Volt); got != want {
-		t.Errorf("off-ladder point: %v != %v", got, want)
+	for _, idx := range []int{n - 1, -1} {
+		if got, want := m.leakAtOPP(odd, idx), m.LeakWatts(odd.Volt); got != want {
+			t.Errorf("off-ladder point, index %d: %v != %v", idx, got, want)
+		}
 	}
 	// CoreWatts through the table path equals the hand-assembled sum.
 	for i := 0; i < table.Len(); i++ {

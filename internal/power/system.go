@@ -121,8 +121,8 @@ func (m *SystemModel) SystemWattsByCluster(loads []CoreLoad, perCluster []float6
 		if id >= len(loads) {
 			break
 		}
-		c := loads[id]
-		perCluster[ci] += m.clusters[ci].CoreWatts(c.State, c.OPP, c.Util)
+		c := &loads[id]
+		perCluster[ci] += m.clusters[ci].coreWatts(c)
 		if c.State != soc.StateOffline {
 			if c.Util > anyBusy[ci] {
 				anyBusy[ci] = c.Util

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"time"
 
 	"mobicore/internal/reuse"
 	"mobicore/internal/soc"
@@ -66,11 +65,19 @@ type memoWin struct {
 }
 
 // Memo retains the last MemoRing scheduling windows' complete outcomes.
-// The simulation's quiescent-tick fast path records a window on each full
-// scheduling pass and replays a retained one (ReplayInto) on every
+// The simulation's quiescent-tick fast path records windows on full
+// scheduling passes and replays a retained one (ReplayInto) on every
 // subsequent tick whose inputs still match it (Match), skipping
 // snapshotting, sorting, and placement entirely while leaving thread state
 // and every float result byte-identical to the slow path.
+//
+// A pass records only a window that can recur: one that repeats the
+// previous pass (same runnable set, equal window-start debts), a starved
+// one, or any window while the memo is paying — its latest recording has
+// replayed (see recurs). Under per-tick random demand nothing is recorded,
+// so the slow path pays no bookkeeping that would never replay; a fresh
+// quiescent stretch pays one extra slow window (its second window records,
+// its third replays).
 //
 // Validity is split between the Memo and its owner: Match proves the
 // thread-side inputs (runnable set, debts, affinity, pressure caps, pool
@@ -98,7 +105,15 @@ type Memo struct {
 	// before the run's start has had every subsequent tick vouched
 	// demand-free, so its runnable set is still proven current.
 	steadySince int64
-	wins        [MemoRing]memoWin
+	// window counts the scheduling passes that consulted the memo; width
+	// is the previous pass's runnable count. Together with each thread's
+	// stamp they answer whether a pass repeats the one before it.
+	window uint64
+	width  int
+	// paying records that the most recent armed recording has replayed at
+	// least once (a Match returned its slot).
+	paying bool
+	wins   [MemoRing]memoWin
 }
 
 // Armed reports whether the most recent recording pass retained a
@@ -137,24 +152,62 @@ func (m *Memo) Recycle() Memo {
 		w.verified = 0
 	}
 	r.next, r.last, r.hint, r.armed, r.rotating, r.seq, r.steadySince = 0, 0, 0, false, false, 0, 0
+	r.window, r.width, r.paying = 0, 0, false
 	return r
+}
+
+// recurs decides whether the scheduling pass over the sorted runnable set
+// is worth recording, and stamps every runnable thread with this pass. A
+// recording pays only if a later window replays it, so the memo records a
+// window in three cases:
+//
+//   - it repeats the previous pass: the same runnable set, every
+//     window-start debt equal (debts above the saturation ceiling compare by
+//     class, as Match does). Demand stood still for a window, so it likely
+//     stands still for the next;
+//   - it is starved (the pool is empty before the first grant): its outcome
+//     is independent of debts, so the next starved window repeats it;
+//   - the memo is paying: its most recent armed recording has replayed.
+//     This covers rotations, whose phases repeat only across windows.
+//
+// Any other window — fresh demand while the memo is not paying — records
+// nothing, so a tick with per-tick random demand skips the whole recording.
+// The cost is one extra slow window on a fresh quiescent stretch: its first
+// window cannot repeat the one before, so the second records and the third
+// replays. The rule only chooses what to record; replay still rests on Match
+// alone. Every pass disarms the memo until finish arms it.
+//
+//mobicore:hotpath
+func (m *Memo) recurs(runnable []*Thread, satCycles float64, starved bool) bool {
+	m.armed = false
+	prev := m.window
+	m.window++
+	repeats := prev > 0 && len(runnable) == m.width
+	for _, t := range runnable {
+		if repeats && (t.stampWin != prev ||
+			t.pending != t.stampDebt && (t.pending <= satCycles || t.stampDebt <= satCycles)) {
+			repeats = false
+		}
+		t.stampWin, t.stampDebt = m.window, t.pending
+	}
+	m.width = len(runnable)
+	return repeats || starved || m.paying
 }
 
 // begin opens a recording in the next ring slot: that slot is invalid until
 // finish arms it (evicting whatever window it held — the ring trades one
-// retained phase for the fresher record). satRate is the capacity ceiling
-// in cycles/sec — at least every core's programmed frequency and every
-// domain's top capacity — above which a thread's placement is
-// debt-independent (callers pass the platform's global ladder top).
+// retained phase for the fresher record). satCycles is the capacity ceiling
+// for one window — at least every core's programmed frequency and every
+// domain's top capacity over dt — above which a thread's placement is
+// debt-independent (callers pass the platform's global ladder top × dt).
 //
 //mobicore:hotpath
-func (m *Memo) begin(dt time.Duration, satRate float64) {
+func (m *Memo) begin(dtSec, satCycles float64) {
 	w := &m.wins[m.next]
 	w.valid = false
-	w.dtSec = dt.Seconds()
-	w.satCycles = satRate * w.dtSec
+	w.dtSec = dtSec
+	w.satCycles = satCycles
 	w.entries = w.entries[:0]
-	m.armed = false
 }
 
 // record appends one placed (or passed-over) thread to the open recording.
@@ -214,6 +267,7 @@ func (m *Memo) finish(res Result, nanos []uint64, pr Pressure, limited bool, poo
 	w.verified = m.seq
 	w.valid = true
 	m.armed = true
+	m.paying = false
 	m.last = m.next
 	m.next = (m.next + 1) % MemoRing
 }
@@ -283,6 +337,9 @@ func (m *Memo) Match(threads []*Thread, steady bool, poolSec float64, pr Pressur
 			w.verified = m.seq
 			m.rotating = idx != m.hint
 			m.hint = idx
+			if idx == m.last {
+				m.paying = true
+			}
 			return idx
 		}
 	}
@@ -377,7 +434,7 @@ func matchWin(w *memoWin, threads []*Thread, trusted bool, runnable int, poolSec
 		// reproduces exactly this permutation from any gather order.
 		if i+1 < len(w.entries) {
 			n := w.entries[i+1].t
-			if t.pending < n.pending || (t.pending == n.pending && t.name >= n.name) {
+			if t.pending < n.pending || (t.pending == n.pending && !nameLess(t, n)) {
 				return false
 			}
 		}

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -71,16 +72,45 @@ func requireUniversesIdentical(t *testing.T, tick int, cpuA, cpuB *soc.CPU, thA,
 	}
 }
 
+// memoRun is runMemoVsSlow's account of universe A: how many ticks
+// replayed, split into windows that had runnable backlog and idle (empty)
+// windows, and tick by tick which replayed and which armed a recording.
+type memoRun struct {
+	fastBusy, fastIdle int
+	replayed           []bool // the tick replayed a retained window
+	armed              []bool // the tick's scheduling pass armed a slot
+}
+
+// firstReplay returns the first replayed tick at or after from, or -1.
+func (r memoRun) firstReplay(from int) int {
+	for tick := from; tick < len(r.replayed); tick++ {
+		if r.replayed[tick] {
+			return tick
+		}
+	}
+	return -1
+}
+
+// replays counts the replayed ticks in [from, to).
+func (r memoRun) replays(from, to int) int {
+	n := 0
+	for _, ok := range r.replayed[from:to] {
+		if ok {
+			n++
+		}
+	}
+	return n
+}
+
 // runMemoVsSlow drives two identical universes for ticks windows: A takes the
 // memo fast path whenever Match accepts, B always runs the full scheduler.
 // demand, when non-nil, scripts workload changes: it runs on each universe's
 // threads before every window and must act on thread state alone, so both
 // universes see the same change. Every tick's Result and both universes'
-// complete state must stay bit-identical; it returns how many of A's ticks
-// replayed, split into windows that had runnable backlog and idle (empty)
-// windows.
-func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64, demand func(tick int, threads []*Thread)) (fastBusy, fastIdle int) {
+// complete state must stay bit-identical.
+func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64, demand func(tick int, threads []*Thread)) memoRun {
 	t.Helper()
+	run := memoRun{replayed: make([]bool, ticks), armed: make([]bool, ticks)}
 	cpuA, thA := memoFixture(t, pendings)
 	cpuB, thB := memoFixture(t, pendings)
 	var schedA, schedB Scheduler
@@ -104,13 +134,15 @@ func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64,
 		var err error
 		if idx := memo.Match(thA, false, poolSec, Pressure{}); idx >= 0 {
 			resA, err = memo.ReplayInto(idx, busyA, cpuA)
+			run.replayed[tick] = true
 			if runnable > 0 {
-				fastBusy++
+				run.fastBusy++
 			} else {
-				fastIdle++
+				run.fastIdle++
 			}
 		} else {
 			resA, err = schedA.ScheduleRecordInto(&memo, satRate, busyA, nil, cpuA, thA, dt, poolSec, Pressure{})
+			run.armed[tick] = memo.Armed()
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +154,7 @@ func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64,
 		requireResultIdentical(t, tick, resA, resB)
 		requireUniversesIdentical(t, tick, cpuA, cpuB, thA, thB)
 	}
-	return fastBusy, fastIdle
+	return run
 }
 
 // TestMemoReplayMatchesFreshSchedule proves the core contract: a replayed
@@ -130,7 +162,7 @@ func runMemoVsSlow(t *testing.T, pendings []float64, ticks int, poolSec float64,
 // full scheduling pass it stands in for.
 func TestMemoReplayMatchesFreshSchedule(t *testing.T) {
 	t.Run("saturated distinct debts", func(t *testing.T) {
-		fast, _ := runMemoVsSlow(t, []float64{4e12, 3e12, 2e12, 1e12}, 50, Unlimited, nil)
+		fast := runMemoVsSlow(t, []float64{4e12, 3e12, 2e12, 1e12}, 50, Unlimited, nil).fastBusy
 		if fast < 45 {
 			t.Errorf("replayed %d of 50 ticks, want at least 45", fast)
 		}
@@ -138,7 +170,7 @@ func TestMemoReplayMatchesFreshSchedule(t *testing.T) {
 	t.Run("saturated under wide pool", func(t *testing.T) {
 		// A finite pool far above per-window consumption records limited
 		// windows that keep replaying while headroom holds.
-		fast, _ := runMemoVsSlow(t, []float64{4e12, 3e12, 2e12, 1e12}, 50, 1.0, nil)
+		fast := runMemoVsSlow(t, []float64{4e12, 3e12, 2e12, 1e12}, 50, 1.0, nil).fastBusy
 		if fast < 45 {
 			t.Errorf("replayed %d of 50 ticks, want at least 45", fast)
 		}
@@ -147,7 +179,7 @@ func TestMemoReplayMatchesFreshSchedule(t *testing.T) {
 		// Eight equal saturated threads on four cores alternate between two
 		// serving halves with stable affinities; once both phases are
 		// recorded (tick 4 on) every tick replays from its own ring slot.
-		fast, _ := runMemoVsSlow(t, []float64{1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13}, 60, Unlimited, nil)
+		fast := runMemoVsSlow(t, []float64{1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13}, 60, Unlimited, nil).fastBusy
 		if fast < 50 {
 			t.Errorf("replayed %d of 60 ticks, want at least 50", fast)
 		}
@@ -159,7 +191,7 @@ func TestMemoReplayMatchesFreshSchedule(t *testing.T) {
 		// then the second half drains and the first four sit quiescent on
 		// their cores, then the second half returns at exactly the first
 		// half's debt and the rotation resumes.
-		fast, _ := runMemoVsSlow(t, []float64{1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13}, 90, Unlimited,
+		run := runMemoVsSlow(t, []float64{1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13, 1e13}, 90, Unlimited,
 			func(tick int, threads []*Thread) {
 				switch tick {
 				case 30:
@@ -172,7 +204,7 @@ func TestMemoReplayMatchesFreshSchedule(t *testing.T) {
 					}
 				}
 			})
-		if fast < 80 {
+		if fast := run.fastBusy; fast < 80 {
 			t.Errorf("replayed %d of 90 ticks, want at least 80", fast)
 		}
 	})
@@ -180,9 +212,70 @@ func TestMemoReplayMatchesFreshSchedule(t *testing.T) {
 		// Six equal saturated threads on four cores rotate affinities with a
 		// period beyond MemoRing, so no retained window ever matches again —
 		// the memo must fall back to the slow path, never to wrong output.
-		fast, _ := runMemoVsSlow(t, []float64{1e13, 1e13, 1e13, 1e13, 1e13, 1e13}, 30, Unlimited, nil)
+		fast := runMemoVsSlow(t, []float64{1e13, 1e13, 1e13, 1e13, 1e13, 1e13}, 30, Unlimited, nil).fastBusy
 		if fast != 0 {
 			t.Errorf("replayed %d ticks of an unmemoizable rotation, want 0", fast)
+		}
+	})
+	t.Run("noisy then quiet", func(t *testing.T) {
+		// Fresh unsaturated debts every window for 30 ticks: no window can
+		// repeat, so nothing is recorded. Then every thread deposits the
+		// same amount each tick: the stretch's second window repeats its
+		// first and records, and the third replays.
+		const quiet = 30
+		run := runMemoVsSlow(t, []float64{5e5, 4e5, 3e5, 2e5}, 60, Unlimited, func(tick int, threads []*Thread) {
+			if tick < quiet {
+				noisyDeposit(tick, threads)
+				return
+			}
+			for _, th := range threads {
+				th.AddWork(3e5)
+			}
+		})
+		for tick := 0; tick < quiet; tick++ {
+			if run.armed[tick] || run.replayed[tick] {
+				t.Fatalf("noisy tick %d armed=%v replayed=%v, want neither", tick, run.armed[tick], run.replayed[tick])
+			}
+		}
+		if first := run.firstReplay(quiet); first < 0 || first > quiet+2 {
+			t.Errorf("first replay of the quiet stretch at tick %d, want by tick %d", first, quiet+2)
+		}
+		if got := run.replays(quiet, 60); got < 28 {
+			t.Errorf("replayed %d of 30 quiet ticks, want at least 28", got)
+		}
+	})
+	t.Run("starved", func(t *testing.T) {
+		// An empty pool throughout while fresh debts arrive every window:
+		// no debt ever repeats, yet every drained window after the first
+		// replays, because a starved window's outcome does not depend on
+		// debts.
+		fast := runMemoVsSlow(t, []float64{5e5, 4e5, 3e5, 2e5}, 40, 0, noisyDeposit).fastBusy
+		if fast != 39 {
+			t.Errorf("replayed %d of 40 starved ticks, want 39", fast)
+		}
+	})
+	t.Run("rotation", func(t *testing.T) {
+		// After a quiescent lead-in (the memo is paying), the threads swap
+		// their unsaturated deposits every window: two phases whose debts
+		// never repeat the previous window. The paying memo records the
+		// first phase, replays it, records the second, and from then on
+		// both replay.
+		const lead = 10
+		phases := [2][4]float64{{5e5, 4e5, 3e5, 2e5}, {2e5, 3e5, 4e5, 5e5}}
+		run := runMemoVsSlow(t, []float64{3e5, 3e5, 3e5, 3e5}, 60, Unlimited, func(tick int, threads []*Thread) {
+			if tick == 0 {
+				return
+			}
+			for i, th := range threads {
+				if tick < lead {
+					th.AddWork(3e5)
+				} else {
+					th.AddWork(phases[tick%2][i])
+				}
+			}
+		})
+		if got := run.replays(lead, 60); got < 45 {
+			t.Errorf("replayed %d of 50 rotation ticks, want at least 45", got)
 		}
 	})
 	t.Run("unsaturated drain falls back", func(t *testing.T) {
@@ -191,14 +284,23 @@ func TestMemoReplayMatchesFreshSchedule(t *testing.T) {
 		// comes from the identity comparison, the count just documents that
 		// the memo never pretends a draining window is quiescent. Once the
 		// threads empty out, the idle windows replay trivially.
-		fastBusy, fastIdle := runMemoVsSlow(t, []float64{2e6, 1.5e6, 1e6, 0.5e6}, 10, Unlimited, nil)
-		if fastBusy != 0 {
-			t.Errorf("replayed %d busy unsaturated ticks, want 0", fastBusy)
+		run := runMemoVsSlow(t, []float64{2e6, 1.5e6, 1e6, 0.5e6}, 10, Unlimited, nil)
+		if run.fastBusy != 0 {
+			t.Errorf("replayed %d busy unsaturated ticks, want 0", run.fastBusy)
 		}
-		if fastIdle == 0 {
+		if run.fastIdle == 0 {
 			t.Error("idle tail should replay its empty windows")
 		}
 	})
+}
+
+// noisyDeposit gives every thread a fresh unsaturated deposit drawn from
+// the tick number alone, so both universes of a run see the same demand.
+func noisyDeposit(tick int, threads []*Thread) {
+	rng := rand.New(rand.NewSource(int64(tick) + 1))
+	for _, th := range threads {
+		th.AddWork(1e5 + 7e5*rng.Float64())
+	}
 }
 
 // recordSettled runs two recording passes and requires the second to have

@@ -146,7 +146,11 @@ func (GreedyPlacer) Place(env *PlaceEnv, t *Thread) int {
 // platforms every decision reproduces the greedy bit for bit: with one
 // domain the previous core always ties for cheapest, so affinity holds
 // whenever the greedy's would, and the fallback candidate is the same
-// most-budget core.
+// most-budget core. The simulation relies on that: a single-domain
+// session configured for EAS schedules with GreedyPlacer, and
+// TestEASMatchesGreedyOnSingleDomain checks the equivalence on generated
+// views of every single-domain profile. When the previous core is also its
+// domain's most-budget candidate, Place prices it once.
 type EASPlacer struct {
 	model *em.Model
 }
@@ -191,7 +195,8 @@ func (p *EASPlacer) Place(env *PlaceEnv, t *Thread) int {
 		if cand < 0 {
 			continue
 		}
-		capCycles := env.Budget[cand] * env.Freq[cand] * env.thermalScale(cand)
+		scale := env.thermalScale(cand)
+		capCycles := env.Budget[cand] * env.Freq[cand] * scale
 		if bestAny < 0 || capCycles > bestAnyCap {
 			bestAny, bestAnyCap = cand, capCycles
 		}
@@ -200,7 +205,7 @@ func (p *EASPlacer) Place(env *PlaceEnv, t *Thread) int {
 		// governor follows demand, so a cool idle cluster clocked at its
 		// floor is still a valid target — exactly how the kernel sizes
 		// candidates by capacity rather than current frequency.
-		fitCycles := env.Budget[cand] * dom.Capacity() * env.thermalScale(cand)
+		fitCycles := env.Budget[cand] * dom.Capacity() * scale
 		if di == prevDom {
 			// Price the previous core itself, not the domain's most-budget
 			// candidate: the thread would resume exactly there.
@@ -213,7 +218,11 @@ func (p *EASPlacer) Place(env *PlaceEnv, t *Thread) int {
 		if fitCycles < t.pending {
 			continue // cannot fully serve; only an overflow candidate
 		}
-		if cost := p.costPerCycle(dom, p.rateOn(env, cand, t), domBusySec); cost < bestFitCost {
+		cost := prevCost // the candidate is the previous core, priced above
+		if cand != prev {
+			cost = p.costPerCycle(dom, p.rateOn(env, cand, t), domBusySec)
+		}
+		if cost < bestFitCost {
 			bestFit, bestFitDom, bestFitCost = cand, di, cost
 		}
 	}

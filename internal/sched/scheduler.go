@@ -23,38 +23,6 @@ type Result struct {
 	PoolUsedSec float64
 }
 
-// Utilization returns per-core busy fraction for a window of dt.
-func (r Result) Utilization(dt time.Duration) []float64 {
-	return r.UtilizationInto(nil, dt)
-}
-
-// UtilizationInto is Utilization writing into dst when it has the
-// capacity, so per-tick callers can reuse one buffer. It returns the
-// filled slice.
-//
-//mobicore:hotpath
-func (r Result) UtilizationInto(dst []float64, dt time.Duration) []float64 {
-	if cap(dst) < len(r.BusySeconds) {
-		//mobilint:ignore one-time buffer growth; steady-state callers pass a full-size buffer
-		dst = make([]float64, len(r.BusySeconds))
-	}
-	dst = dst[:len(r.BusySeconds)]
-	if dt <= 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return dst
-	}
-	dts := dt.Seconds()
-	for i, b := range r.BusySeconds {
-		dst[i] = b / dts
-		if dst[i] > 1 {
-			dst[i] = 1
-		}
-	}
-	return dst
-}
-
 // Scheduler load-balances threads across online cores each window. It keeps
 // soft affinity (a thread prefers its previous core while that core has
 // budget) and otherwise delegates placement to its Placer — by default the
@@ -77,6 +45,8 @@ type Scheduler struct {
 	busyNanos []uint64
 	runnable  byDebt
 	env       PlaceEnv
+	dt        time.Duration // window length of the previous call
+	dts       float64       // dt in seconds, converted once per length
 }
 
 // byDebt orders threads largest pending debt first, name breaking ties,
@@ -93,7 +63,7 @@ func debtLess(a, b *Thread) bool {
 	if a.pending != b.pending {
 		return a.pending > b.pending
 	}
-	return a.name < b.name
+	return nameLess(a, b)
 }
 
 // ErrBadQuota rejects malformed bandwidth budgets.
@@ -185,11 +155,17 @@ func (s *Scheduler) ScheduleThermalInto(busy []float64, cpu *soc.CPU, threads []
 // ScheduleRecordInto is ScheduleThermalInto that additionally fingerprints
 // the window into rec for the quiescent-tick fast path: the per-thread
 // placements and grants, the busy vector, the clamped per-core busy nanos,
-// and the pressure view are retained, and rec arms (rec.Valid) when the
-// window is replayable — no pool clamping and no throttling. satRate is the
-// capacity ceiling for the saturation classing (see Memo.begin); callers
-// pass the platform's top ladder frequency. A nil rec reproduces
-// ScheduleThermalInto exactly.
+// and the pressure view are retained, and rec arms (rec.Armed) when the
+// window is replayable — no pool clamping and no throttling, or fully
+// starved. Only a window that can recur is recorded: it repeats the
+// previous call's window (same runnable set, equal window-start debts,
+// saturated debts by class), it is starved, or rec's latest recording has
+// replayed; any other window leaves rec unarmed and costs one stamp per
+// runnable thread. A fresh quiescent stretch therefore replays from its
+// third window. satRate is the capacity ceiling for the saturation
+// classing (see Memo.begin); callers pass the platform's top ladder
+// frequency. A nil rec reproduces ScheduleThermalInto exactly, and the
+// recording choice never changes the Result.
 //
 // snap, when non-nil, is the caller's current view of the CPU — each core's
 // online state and programmed frequency, exactly as SnapshotInto would
@@ -225,14 +201,13 @@ func (s *Scheduler) scheduleInto(rec *Memo, satRate float64, busy []float64, sna
 		snap = cpu.SnapshotInto(s.snap)
 		s.snap = snap
 	}
-	dts := dt.Seconds()
+	if dt != s.dt {
+		s.dt, s.dts = dt, dt.Seconds()
+	}
+	dts := s.dts
 	// Without a caller buffer the Result escapes with its own slice — the
 	// pre-arena API's ownership contract.
 	res := Result{BusySeconds: reuse.Zeroed(busy, len(snap))}
-
-	if rec != nil {
-		rec.begin(dt, satRate)
-	}
 
 	pool := poolSec
 	limited := pool >= 0
@@ -281,17 +256,13 @@ func (s *Scheduler) scheduleInto(rec *Memo, satRate float64, busy []float64, sna
 
 	// The env lives on the scheduler so taking its address for the
 	// placer's interface call does not force a per-window heap escape.
-	s.env = PlaceEnv{
-		Online:    online,
-		Budget:    budget,
-		Freq:      freq,
-		RankOf:    rankOf,
-		NumRanks:  numRanks,
-		Capped:    pr.Capped,
-		CapScale:  pr.CapScale,
-		AnyCool:   anyCool,
-		WindowSec: dts,
-	}
+	// Every field is assigned in place: a composite literal would build the
+	// whole struct and copy it over on every window.
+	env := &s.env
+	env.Online, env.Budget, env.Freq = online, budget, freq
+	env.RankOf, env.NumRanks = rankOf, numRanks
+	env.Capped, env.CapScale, env.AnyCool = pr.Capped, pr.CapScale, anyCool
+	env.WindowSec = dts
 	placer := s.placer()
 
 	runnable := s.runnable[:0]
@@ -316,13 +287,21 @@ func (s *Scheduler) scheduleInto(rec *Memo, satRate float64, busy []float64, sna
 	} else {
 		sort.Stable(&s.runnable)
 	}
+	if rec != nil {
+		satCycles := satRate * dts
+		if rec.recurs(runnable, satCycles, limited && pool <= 0) {
+			rec.begin(dts, satCycles)
+		} else {
+			rec = nil // a window that cannot recur is not recorded
+		}
+	}
 
 	for _, t := range runnable {
 		if limited && pool <= 0 {
 			break // bandwidth exhausted for this window
 		}
 		startLast, startPending := t.lastCore, t.pending
-		core := placer.Place(&s.env, t)
+		core := placer.Place(env, t)
 		if core < 0 {
 			if rec != nil {
 				rec.record(t, startLast, core, 0, startPending)

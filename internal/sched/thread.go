@@ -14,15 +14,41 @@ import "fmt"
 // the simulation loop serializes workload and scheduler access.
 type Thread struct {
 	name     string
+	nameKey  uint64  // name's first 8 bytes, big-endian and zero-padded
 	pending  float64 // cycles waiting to execute
 	executed float64 // cumulative cycles executed
 	lastCore int     // affinity hint; -1 before first placement
+	// stampWin and stampDebt record the last scheduling pass with a Memo
+	// that found the thread runnable (the Memo's pass count) and its debt
+	// when that window opened: the per-thread half of the memo's "does
+	// this window repeat the previous one" test.
+	stampWin  uint64
+	stampDebt float64
 }
 
 // NewThread creates an idle thread. Name is used for deterministic
 // tie-breaking and diagnostics.
 func NewThread(name string) *Thread {
-	return &Thread{name: name, lastCore: -1}
+	var key uint64
+	for i := 0; i < 8; i++ {
+		key <<= 8
+		if i < len(name) {
+			key |= uint64(name[i])
+		}
+	}
+	return &Thread{name: name, nameKey: key, lastCore: -1}
+}
+
+// nameLess orders threads by name. Two names whose zero-padded 8-byte
+// prefixes differ order as those prefixes do, so the prefix keys settle
+// most comparisons without a string compare.
+//
+//mobicore:hotpath
+func nameLess(a, b *Thread) bool {
+	if a.nameKey != b.nameKey {
+		return a.nameKey < b.nameKey
+	}
+	return a.name < b.name
 }
 
 // Name returns the thread's name.

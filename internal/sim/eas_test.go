@@ -8,6 +8,7 @@ import (
 
 	"mobicore/internal/platform"
 	"mobicore/internal/policy"
+	"mobicore/internal/sched"
 	"mobicore/internal/workload"
 )
 
@@ -72,6 +73,37 @@ func TestEASMatchesGreedyOnHomogeneous(t *testing.T) {
 	}
 	if g.Placer != PlacerGreedy || e.Placer != PlacerEAS {
 		t.Errorf("placer labels %q/%q, want greedy/eas", g.Placer, e.Placer)
+	}
+}
+
+// TestSingleDomainEASSchedulesGreedily: an EAS session on a single-domain
+// platform builds no EAS placer (the scheduler's nil Placer is the greedy),
+// while a multi-domain one installs it; both still report "eas".
+func TestSingleDomainEASSchedulesGreedily(t *testing.T) {
+	for _, tc := range []struct {
+		plat platform.Platform
+		eas  bool
+	}{{platform.Nexus5(), false}, {platform.Nexus6P(), true}, {platform.SD855(), true}} {
+		s, err := New(Config{
+			Platform:  tc.plat,
+			Manager:   clusteredMobi(t, tc.plat),
+			Workloads: []workload.Workload{easLoop(t, tc.plat, 0.5, 2)},
+			Placer:    PlacerEAS,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, isEAS := s.sch.Placer.(*sched.EASPlacer)
+		if isEAS != tc.eas || (!tc.eas && s.sch.Placer != nil) {
+			t.Errorf("%s: scheduler placer %T, want EAS %v", tc.plat.Name, s.sch.Placer, tc.eas)
+		}
+		rep, err := s.Run(100 * time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Placer != PlacerEAS {
+			t.Errorf("%s: report placer %q, want %q", tc.plat.Name, rep.Placer, PlacerEAS)
+		}
 	}
 }
 

@@ -47,8 +47,10 @@ type Config struct {
 	// Placer selects the scheduler's placement rule: "greedy" (default)
 	// or "eas" (energy-aware placement driven by the platform's energy
 	// model). On homogeneous platforms the two produce identical
-	// placements; the greedy remains the default everywhere so existing
-	// sessions reproduce bit for bit.
+	// placements, so a single-domain session schedules greedily under
+	// either name (its report still names the configured placer); the
+	// greedy remains the default everywhere so existing sessions reproduce
+	// bit for bit.
 	Placer string
 
 	// PowerTrace, when non-nil, receives every integration tick's power
@@ -190,7 +192,6 @@ type Sim struct {
 
 	// per-tick scratch, reused to keep the hot loop allocation-free
 	snap         []soc.CoreSnapshot // CPU snapshot buffer
-	util         []float64          // per-core utilization buffer
 	busySec      []float64          // per-core busy-seconds buffer handed to the scheduler
 	clusterWatts []float64          // per-cluster power share from the system model
 	zoneWatts    []float64          // per-zone watts fed to the thermal network
@@ -393,7 +394,6 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 		satRate:             satRate,
 		hinters:             hinters,
 		snap:                reuse.Zeroed(s.snap, n),
-		util:                reuse.Zeroed(s.util, n),
 		busySec:             reuse.Zeroed(s.busySec, n),
 		clusterWatts:        reuse.Zeroed(s.clusterWatts, nc),
 		zoneWatts:           reuse.Zeroed(s.zoneWatts, nc),
@@ -424,7 +424,10 @@ func newSim(cfg Config, a *Arena) (*Sim, error) {
 		clusterTempSeries:   seriesBuf(s.clusterTempSeries, nc),
 		clusterEnergySeries: seriesBuf(s.clusterEnergySeries, nc),
 	}
-	if cfg.Placer == PlacerEAS {
+	// On a single performance domain every EAS decision equals the greedy's
+	// (see sched.EASPlacer), so such sessions schedule greedily; the report
+	// and the session identity still name the configured placer.
+	if cfg.Placer == PlacerEAS && comp.EM.NumDomains() > 1 {
 		placer, err := sched.NewEASPlacer(comp.EM)
 		if err != nil {
 			return nil, fmt.Errorf("sim: building EAS placer: %w", err)
@@ -586,25 +589,26 @@ func (s *Sim) Step() error {
 	// snapshot is needed here.
 	snap := s.snap
 	loads := s.loads
-	util := res.UtilizationInto(s.util, dt)
-	s.util = util
 	onlineCount := 0
 	var freqAcc float64
 	var overall float64
-	for i, c := range snap {
-		loads[i] = power.CoreLoad{
-			State: c.State,
-			OPP:   soc.OPP{Freq: c.Freq, Volt: c.Volt},
-			Util:  util[i],
+	for i := range snap {
+		c := &snap[i]
+		// Busy fraction of the tick, clamped to 1.
+		u := res.BusySeconds[i] / dts
+		if u > 1 {
+			u = 1
 		}
+		l := &loads[i]
+		l.State, l.OPP, l.OPPIndex, l.Util = c.State, soc.OPP{Freq: c.Freq, Volt: c.Volt}, c.OPPIndex, u
 		if recording {
 			f.winInc[i] = 0
 		}
 		if c.State != soc.StateOffline {
 			onlineCount++
 			freqAcc += float64(c.Freq)
-			overall += util[i]
-			inc := util[i] * dts
+			overall += u
+			inc := u * dts
 			s.winBusySec[i] += inc
 			if recording {
 				f.winInc[i] = inc

@@ -48,8 +48,9 @@ type Core struct {
 	id    int
 	table *OPPTable
 
-	state CoreState
-	opp   OPP
+	state  CoreState
+	opp    OPP
+	oppIdx int // opp's position on table
 }
 
 // newCore constructs an online, idle core at the table's minimum frequency.
@@ -83,7 +84,7 @@ func (c *Core) setFreq(freq Hz) error {
 	if i < 0 {
 		return fmt.Errorf("%w: %v", ErrBadFrequency, freq)
 	}
-	c.opp = c.table.At(i)
+	c.opp, c.oppIdx = c.table.At(i), i
 	return nil
 }
 
@@ -149,13 +150,16 @@ func (c *CPU) OnlineIDs() []int {
 // CoreSnapshot is a value copy of one core, safe to hold across ticks. A
 // CPU reports online cores as StateIdle; a scheduler that keeps a snapshot
 // as its view of the CPU marks the cores that executed in its window
-// StateActive.
+// StateActive. OPPIndex is the programmed point's position on the core's
+// cluster ladder, as setting the frequency resolved it, so per-tick
+// consumers index per-OPP tables (power.CoreLoad) without searching.
 type CoreSnapshot struct {
-	ID      int
-	Cluster int // owning cluster index; 0 on homogeneous CPUs
-	State   CoreState
-	Freq    Hz
-	Volt    Volt
+	ID       int
+	Cluster  int // owning cluster index; 0 on homogeneous CPUs
+	State    CoreState
+	Freq     Hz
+	Volt     Volt
+	OPPIndex int
 }
 
 // Snapshot captures the state of every core.
@@ -177,11 +181,12 @@ func (c *CPU) SnapshotInto(dst []CoreSnapshot) []CoreSnapshot {
 	dst = dst[:len(c.cores)]
 	for i, core := range c.cores {
 		dst[i] = CoreSnapshot{
-			ID:      core.id,
-			Cluster: c.coreCluster[i],
-			State:   core.state,
-			Freq:    core.opp.Freq,
-			Volt:    core.opp.Volt,
+			ID:       core.id,
+			Cluster:  c.coreCluster[i],
+			State:    core.state,
+			Freq:     core.opp.Freq,
+			Volt:     core.opp.Volt,
+			OPPIndex: core.oppIdx,
 		}
 	}
 	return dst
