@@ -30,8 +30,8 @@ func ChooseOperatingPoint(m *power.Model, table *soc.OPPTable, demandCyclesPerSe
 	if maxCores < 1 {
 		return OperatingPoint{}, errors.New("core: oracle needs at least one core")
 	}
-	if demandCyclesPerSec < 0 {
-		return OperatingPoint{}, errors.New("core: negative demand")
+	if !(demandCyclesPerSec >= 0) {
+		return OperatingPoint{}, errors.New("core: negative or NaN demand")
 	}
 	best := OperatingPoint{PredictedWatts: math.Inf(1)}
 	feasible := false
@@ -169,9 +169,9 @@ type ClusterOperatingPoint struct {
 // homogeneous fallback.
 //
 // The search is an exact branch and bound over that walk. Every active
-// cluster runs at the same utilization D / C_total, and each cluster's
-// price is nondecreasing in its utilization, so a partial assignment is
-// bounded below by:
+// cluster runs at the same utilization D / C, C the leaf's capacity, and
+// each cluster's price is nondecreasing in its utilization, so a partial
+// assignment A (capacity cp_A) is bounded below by:
 //
 //   - tub, the capacity so far plus every unassigned cluster's largest
 //     capacity, summed in walk order. Every leaf below has capacity ≤ tub,
@@ -180,20 +180,55 @@ type ClusterOperatingPoint struct {
 //   - lb, the floor plus each assigned cluster priced at tub (a larger
 //     total means a smaller share, hence lower utilization and watts)
 //     plus each unassigned cluster's cheapest option at zero utilization,
-//     summed in the leaf's own order.
+//     summed in the leaf's own order. Float add, mul and div are
+//     monotone, so lb is at most the price the leaf itself computes, bit
+//     for bit;
+//   - lbE, the energy-per-cycle bound. A leaf's utilization-scaled watts
+//     are D·Σcf·e/C over its active clusters, with e = Ceff·V² + cache/cf
+//     the energy per cycle of an option (switching plus its share of the
+//     uncore), so the demand an unassigned cluster's capacity would carry
+//     is priced too. With S_A = Σ_A cf·e, e_U the least e any unassigned
+//     option offers and X the unassigned capacity, those watts are at
+//     least D·g(X), g(X) = (S_A + X·e_U)/(cp_A + X). g is monotone in X,
+//     so its minimum over the feasible range [max(0, D−cp_A), Σ_U maxCap]
+//     sits at an end. lbE is the floor, each assigned cluster's static
+//     watts, each unassigned cluster's cheapest static watts and
+//     D·min(g(lo), g(hi)).
 //
-// Float add, mul and div are monotone, so lb is at most the price the leaf
-// itself computes, bit for bit. A subtree is cut only when lb exceeds the
-// incumbent strictly, so no leaf that could win or tie is skipped; leaves
-// are visited in walk order and priced with the same float expressions, so
-// the choice, its watts bits and its tie-break equal the exhaustive walk's.
+// lbE is not the leaf's own float expression, so it carries a proven
+// relative slack. Write u = 2⁻⁵³ and N for the cluster count, and assume
+// no operation underflows or overflows; the search applies lbE only when
+// every price constant and the demand are zero or lie in [2⁻⁶⁴, 2⁶⁴],
+// which guarantees it. Every term is nonnegative, so each rounding moves a
+// value by a factor in [1−u, 1+u]. Then:
+//
+//   - a feasible leaf computes at least (1−u)^(N+11) times its exact
+//     value: utilization ≥ (D/C)(1−u)³ (a clamp to 1 only helps, since
+//     C ≥ D), eight more roundings inside a cluster term, N additions;
+//   - that exact value is at least the exact lbE with g taken at the
+//     leaf's X and the utilization-scaled part divided by (1+u)^(|U|+1):
+//     cf = n·f is rounded once, and the leaf sums its capacity
+//     C ≤ (cp_A+X)(1+u)^|U|, so C ≥ D also gives cp_A + X ≥ D(1−K·u), the
+//     shrunk lower end that lo uses;
+//   - the computed lbE is at most (1+u)^(2N+8)/(1−u)^N times the exact
+//     one: cf·e and e carry at most four roundings, path and suffix sums
+//     at most N, the quotients and the final sums a few more, and each
+//     difference of two floats one.
+//
+// Together, computed leaf ≥ lbE·(1−u)^(2N+11)/(1+u)^(2N+8), and
+// fl(lbE·(1−K·u)) ≤ lbE·(1−K·u)(1+u) stays below that for K ≥ 4N+20; the
+// search uses K = 4N+32. A subtree is cut only when lb or the slackened
+// lbE exceeds the incumbent strictly, so no leaf that could win or tie is
+// skipped; leaves are visited in walk order and priced with the same float
+// expressions, so the choice, its watts bits and its tie-break equal the
+// exhaustive walk's.
 func ChooseClusterOperatingPoints(baseWatts float64, models []*power.Model, tables []*soc.OPPTable, clusterCores []int, demandCyclesPerSec float64) ([]ClusterOperatingPoint, float64, error) {
 	s, err := newClusterSearch(baseWatts, models, tables, clusterCores)
 	if err != nil {
 		return nil, 0, err
 	}
-	if demandCyclesPerSec < 0 {
-		return nil, 0, errors.New("core: negative demand")
+	if !(demandCyclesPerSec >= 0) {
+		return nil, 0, errors.New("core: negative or NaN demand")
 	}
 	watts := s.run(demandCyclesPerSec)
 	choice := make([]ClusterOperatingPoint, len(s.opts))
@@ -216,6 +251,8 @@ type clusterOption struct {
 	leak  float64 // per-core static watts at the OPP
 	off   float64 // float64(total-Cores) * OfflineWatts
 	cache float64 // CacheBaseWatts + CacheSlopeWatts*ratio
+	stat  float64 // static watts: the price at zero utilization
+	dyn   float64 // cf·Ceff·V² + cache, the watts above stat at utilization 1
 }
 
 // watts is clusterOption's share of the joint price when the candidate's
@@ -235,6 +272,16 @@ func (o *clusterOption) watts(demand, totalCap float64) float64 {
 	return o.cores*(o.leak+util*o.ceff*o.freq*o.volt*o.volt) + o.off + util*o.cache
 }
 
+// boundRange is the magnitude range within which every price constant and
+// the demand keep the search's float operations clear of underflow and
+// overflow, the premise of the energy-per-cycle bound's slack.
+const boundRange = 0x1p64
+
+// inBoundRange reports whether x is zero or within [1/boundRange, boundRange].
+func inBoundRange(x float64) bool {
+	return x == 0 || (x >= 1/boundRange && x <= boundRange)
+}
+
 // clusterSearch is the branch-and-bound joint search for one platform:
 // per-cluster options in walk order, their bound constants, and the scratch
 // of one search. It is not safe for concurrent use.
@@ -244,7 +291,15 @@ type clusterSearch struct {
 	maxCap  []float64 // per cluster: its largest option capacity
 	minTerm []float64 // per cluster: its cheapest option at zero utilization
 
+	// Suffix constants of the energy-per-cycle bound, indexed by the first
+	// unassigned cluster (entry N is the empty suffix): the sums of maxCap
+	// and minTerm, and the least energy per cycle of any active option.
+	capSuf, statSuf, eSuf []float64
+	keep                  float64 // 1 − K·u, the bound's rounding slack
+	inRange               bool    // every price constant within boundRange
+
 	demand    float64
+	perCycle  bool  // demand within boundRange: the energy-per-cycle bound applies
 	cur, best []int // option index per cluster
 	bestWatts float64
 	bestCores int
@@ -268,6 +323,11 @@ func newClusterSearch(baseWatts float64, models []*power.Model, tables []*soc.OP
 		opts:    make([][]clusterOption, n),
 		maxCap:  make([]float64, n),
 		minTerm: make([]float64, n),
+		capSuf:  make([]float64, n+1),
+		statSuf: make([]float64, n+1),
+		eSuf:    make([]float64, n+1),
+		keep:    1 - float64(4*n+32)*0x1p-53,
+		inRange: inBoundRange(baseWatts),
 		cur:     make([]int, n),
 		best:    make([]int, n),
 	}
@@ -280,6 +340,7 @@ func newClusterSearch(baseWatts float64, models []*power.Model, tables []*soc.OP
 			return nil, fmt.Errorf("core: cluster %d core count %d", ci, total)
 		}
 		p := m.Params()
+		s.eSuf[ci] = math.Inf(1)
 		opts := make([]clusterOption, 0, 1+total*table.Len())
 		opts = append(opts, clusterOption{
 			point: ClusterOperatingPoint{OPP: table.Min()},
@@ -288,7 +349,7 @@ func newClusterSearch(baseWatts float64, models []*power.Model, tables []*soc.OP
 		for c := 1; c <= total; c++ {
 			for i := 0; i < table.Len(); i++ {
 				opp := table.At(i)
-				opts = append(opts, clusterOption{
+				o := clusterOption{
 					point: ClusterOperatingPoint{Cores: c, OPP: opp},
 					cores: float64(c),
 					cf:    float64(c) * float64(opp.Freq),
@@ -298,15 +359,32 @@ func newClusterSearch(baseWatts float64, models []*power.Model, tables []*soc.OP
 					leak:  m.LeakWatts(opp.Volt),
 					off:   float64(total-c) * p.OfflineWatts,
 					cache: m.CacheWatts(1, opp.Freq),
-				})
+				}
+				ev := o.ceff * o.volt * o.volt
+				o.dyn = o.cf*ev + o.cache
+				// Energy per cycle: switching plus this option's share of
+				// the uncore.
+				s.eSuf[ci] = math.Min(s.eSuf[ci], ev+o.cache/o.cf)
+				opts = append(opts, o)
 			}
 		}
 		s.opts[ci] = opts
 		s.minTerm[ci] = math.Inf(1)
 		for k := range opts {
-			s.maxCap[ci] = math.Max(s.maxCap[ci], opts[k].cf)
-			s.minTerm[ci] = math.Min(s.minTerm[ci], opts[k].watts(0, 1))
+			o := &opts[k]
+			o.stat = o.watts(0, 1)
+			s.maxCap[ci] = math.Max(s.maxCap[ci], o.cf)
+			s.minTerm[ci] = math.Min(s.minTerm[ci], o.stat)
+			for _, x := range [...]float64{o.cores, o.freq, o.volt, o.ceff, o.leak, o.off, o.cache} {
+				s.inRange = s.inRange && inBoundRange(x)
+			}
 		}
+	}
+	s.eSuf[n] = math.Inf(1)
+	for ci := n - 1; ci >= 0; ci-- {
+		s.capSuf[ci] = s.maxCap[ci] + s.capSuf[ci+1]
+		s.statSuf[ci] = s.minTerm[ci] + s.statSuf[ci+1]
+		s.eSuf[ci] = math.Min(s.eSuf[ci], s.eSuf[ci+1])
 	}
 	return s, nil
 }
@@ -314,15 +392,13 @@ func newClusterSearch(baseWatts float64, models []*power.Model, tables []*soc.OP
 // run searches for demand, leaving the optimum's option indices in s.best,
 // and returns its price.
 func (s *clusterSearch) run(demand float64) float64 {
-	s.demand = demand
-	s.found = false
-	s.bestWatts, s.bestCores, s.bestCap = math.Inf(1), math.MaxInt, math.Inf(1)
+	s.start(demand)
 	tub := 0.0
 	for _, c := range s.maxCap {
 		tub += c
 	}
 	if !(tub < demand) {
-		s.walk(0, 0, 0)
+		s.walk(0, 0, 0, s.base, 0)
 	}
 	if !s.found {
 		// Demand exceeds the whole SoC: run everything flat out.
@@ -332,6 +408,14 @@ func (s *clusterSearch) run(demand float64) float64 {
 		return s.price(s.best, tub)
 	}
 	return s.bestWatts
+}
+
+// start resets the incumbent for a search of demand.
+func (s *clusterSearch) start(demand float64) {
+	s.demand = demand
+	s.perCycle = s.inRange && demand >= 1/boundRange && demand <= boundRange
+	s.found = false
+	s.bestWatts, s.bestCores, s.bestCap = math.Inf(1), math.MaxInt, math.Inf(1)
 }
 
 // price sums the floor and every cluster's term at totalCap, in cluster
@@ -346,19 +430,52 @@ func (s *clusterSearch) price(idx []int, totalCap float64) float64 {
 	return watts
 }
 
-// walk expands cluster ci under the assignment s.cur[:ci], which holds
-// cores online and capacity cycles/s.
+// bound is the larger of lb and the slackened lbE (see
+// ChooseClusterOperatingPoints) for the assignment s.cur[:ci+1], which
+// holds capacity cycles/s, static watts stat (floor included) and
+// utilization-scaled watts at utilization 1 dyn; tub is its capacity upper
+// bound.
 //
 //mobicore:hotpath
-func (s *clusterSearch) walk(ci, cores int, capacity float64) {
+func (s *clusterSearch) bound(ci int, tub, capacity, stat, dyn float64) float64 {
+	lb := s.price(s.cur[:ci+1], tub)
+	for i := ci + 1; i < len(s.opts); i++ {
+		lb += s.minTerm[i]
+	}
+	if !s.perCycle {
+		return lb
+	}
+	d, e, m := s.demand, s.eSuf[ci+1], s.capSuf[ci+1]
+	var g float64
+	if lo := d * s.keep; capacity >= lo {
+		g = dyn / capacity
+	} else {
+		g = (dyn + e*(lo-capacity)) / lo
+	}
+	if hi := (dyn + e*m) / (capacity + m); hi < g {
+		g = hi
+	}
+	if lbE := (stat + s.statSuf[ci+1] + d*g) * s.keep; lbE > lb {
+		return lbE
+	}
+	return lb
+}
+
+// walk expands cluster ci under the assignment s.cur[:ci], which holds
+// cores online, capacity cycles/s, static watts stat (floor included) and
+// utilization-scaled watts at utilization 1 dyn.
+//
+//mobicore:hotpath
+func (s *clusterSearch) walk(ci, cores int, capacity, stat, dyn float64) {
 	opts := s.opts[ci]
 	last := ci == len(s.opts)-1
 	for k := range opts {
 		o := &opts[k]
-		c, cp := cores, capacity
+		c, cp, st, dy := cores, capacity, stat+o.stat, dyn
 		if o.point.Cores > 0 {
 			c += o.point.Cores
 			cp += o.cf
+			dy += o.dyn
 		}
 		s.cur[ci] = k
 		if last {
@@ -378,17 +495,10 @@ func (s *clusterSearch) walk(ci, cores int, capacity float64) {
 		for i := ci + 1; i < len(s.opts); i++ {
 			tub += s.maxCap[i]
 		}
-		if tub < s.demand {
+		if tub < s.demand || s.bound(ci, tub, cp, st, dy) > s.bestWatts {
 			continue
 		}
-		lb := s.price(s.cur[:ci+1], tub)
-		for i := ci + 1; i < len(s.opts); i++ {
-			lb += s.minTerm[i]
-		}
-		if lb > s.bestWatts {
-			continue
-		}
-		s.walk(ci+1, c, cp)
+		s.walk(ci+1, c, cp, st, dy)
 	}
 }
 
@@ -397,9 +507,18 @@ func (s *clusterSearch) walk(ci, cores int, capacity float64) {
 // the joint per-cluster optimum from ChooseClusterOperatingPoints, keeping
 // the search's per-candidate constants across decisions. The homogeneous
 // Oracle is the single-cluster special case.
+//
+// It remembers the last demand it searched. The search is a pure function
+// of the demand for a fixed platform, and s.best is written only by a
+// search, so when a sample's demand has the same bits as the last one the
+// previous optimum is the answer and the search is skipped. Replayed
+// steady stretches make most samples repeat the one before bit for bit;
+// one entry catches nearly all of those repeats.
 type ClusteredOracle struct {
 	search   *clusterSearch
 	headroom float64
+	last     uint64 // math.Float64bits of the demand s.best answers
+	primed   bool   // last holds a searched demand
 }
 
 var _ policy.Manager = (*ClusteredOracle)(nil)
@@ -452,7 +571,10 @@ func (o *ClusteredOracle) Decide(in policy.Input) (policy.Decision, error) {
 		}
 	}
 	demand *= 1 + o.headroom
-	o.search.run(demand)
+	if bits := math.Float64bits(demand); !o.primed || bits != o.last {
+		o.search.run(demand)
+		o.last, o.primed = bits, true
+	}
 	targets := make([]soc.Hz, len(in.Util))
 	vec := make([]int, len(views))
 	for ci, v := range views {
@@ -469,5 +591,5 @@ func (o *ClusteredOracle) Decide(in policy.Input) (policy.Decision, error) {
 	return policy.Decision{TargetFreq: targets, OnlineVec: vec, Quota: 1}, nil
 }
 
-// Reset implements policy.Manager.
-func (o *ClusteredOracle) Reset() {}
+// Reset implements policy.Manager: it forgets the remembered demand.
+func (o *ClusteredOracle) Reset() { o.primed = false }

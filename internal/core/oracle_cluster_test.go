@@ -1,7 +1,10 @@
 package core
 
 import (
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -97,15 +100,25 @@ func TestChooseClusterOperatingPointsOverload(t *testing.T) {
 	}
 }
 
-// TestClusteredOracleDecide: the manager emits a valid clustered decision
-// on the heterogeneous platform — the configuration the homogeneous oracle
-// used to reject.
-func TestClusteredOracleDecide(t *testing.T) {
-	plat := platform.Nexus6P()
-	o, err := NewClusteredOracleForPlatform(plat, 0.15)
+// TestChooseOperatingPointsRejectNaN: a NaN demand is an error in both
+// searches, never a silent choice.
+func TestChooseOperatingPointsRejectNaN(t *testing.T) {
+	base, models, tables, counts := oracleParts(t, platform.Nexus6P())
+	if _, _, err := ChooseClusterOperatingPoints(base, models, tables, counts, math.NaN()); err == nil {
+		t.Error("clustered search accepted a NaN demand")
+	}
+	plat := platform.Nexus5()
+	m, err := power.NewModel(plat.Power, plat.Table)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := ChooseOperatingPoint(m, plat.Table, math.NaN(), plat.NumCores); err == nil {
+		t.Error("homogeneous search accepted a NaN demand")
+	}
+}
+
+// clusterViews lays a platform's cores out per frequency domain, in order.
+func clusterViews(plat platform.Platform) []policy.ClusterView {
 	specs := plat.ClusterSpecs()
 	views := make([]policy.ClusterView, len(specs))
 	id := 0
@@ -117,6 +130,136 @@ func TestClusteredOracleDecide(t *testing.T) {
 		}
 		views[ci] = policy.ClusterView{Name: cs.Name, Table: cs.Table, CoreIDs: ids}
 	}
+	return views
+}
+
+// TestClusteredOracleRepeatsMatchFresh: the oracle's one-entry demand memo
+// is invisible. On every multi-cluster profile and at three headrooms (0,
+// one that nudges each demand just past the capacity it names, and a
+// production-sized 15%), one long-lived oracle and a freshly built one
+// decide identically at every step of a sequence with runs of repeated
+// samples, idle samples, every option's exact capacity followed by that
+// capacity plus a sliver too small for float32 to see, the whole SoC flat
+// out, random loads, and a Reset partway through.
+func TestClusteredOracleRepeatsMatchFresh(t *testing.T) {
+	profiles := platform.Profiles()
+	for _, alias := range slices.Sorted(maps.Keys(profiles)) {
+		plat := profiles[alias]()
+		if len(plat.ClusterSpecs()) < 2 {
+			continue
+		}
+		t.Run(alias, func(t *testing.T) {
+			views := clusterViews(plat)
+			blank := func() policy.Input {
+				in := policy.Input{
+					Now:      time.Second,
+					Period:   50 * time.Millisecond,
+					Util:     make([]float64, plat.NumCores),
+					Online:   make([]bool, plat.NumCores),
+					CurFreq:  make([]soc.Hz, plat.NumCores),
+					Quota:    1,
+					Table:    plat.Table,
+					Clusters: views,
+				}
+				for _, v := range views {
+					for _, id := range v.CoreIDs {
+						in.CurFreq[id] = v.Table.Min().Freq
+					}
+				}
+				return in
+			}
+			load := func(in policy.Input, id int, util float64, f soc.Hz) {
+				in.Online[id], in.Util[id], in.CurFreq[id] = true, util, f
+			}
+			rng := rand.New(rand.NewSource(3))
+			var inputs []policy.Input
+			add := func(in policy.Input) {
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					inputs = append(inputs, in)
+				}
+			}
+			add(blank())
+			for ci, v := range views {
+				for c := 1; c <= len(v.CoreIDs); c++ {
+					for _, opp := range v.Table.Points() {
+						exact := blank()
+						for _, id := range v.CoreIDs[:c] {
+							load(exact, id, 1, opp.Freq)
+						}
+						add(exact)
+						sliver := blank()
+						copy(sliver.Online, exact.Online)
+						copy(sliver.Util, exact.Util)
+						copy(sliver.CurFreq, exact.CurFreq)
+						other := views[(ci+1)%len(views)]
+						load(sliver, other.CoreIDs[len(other.CoreIDs)-1], 1e-9, other.Table.Min().Freq)
+						add(sliver)
+					}
+				}
+			}
+			full := blank()
+			for _, v := range views {
+				for _, id := range v.CoreIDs {
+					load(full, id, 1, v.Table.Max().Freq)
+				}
+			}
+			add(full)
+			for i := 0; i < 200; i++ {
+				in := blank()
+				for _, v := range views {
+					for _, id := range v.CoreIDs {
+						if rng.Intn(2) == 0 {
+							load(in, id, rng.Float64(), v.Table.At(rng.Intn(v.Table.Len())).Freq)
+						}
+					}
+				}
+				add(in)
+			}
+
+			for _, headroom := range []float64{0, 0x1p-52, 0.15} {
+				long, err := NewClusteredOracleForPlatform(plat, headroom)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, in := range inputs {
+					if i == len(inputs)/2 {
+						long.Reset()
+						if long.primed {
+							t.Fatal("Reset kept the remembered demand")
+						}
+					}
+					fresh, err := NewClusteredOracleForPlatform(plat, headroom)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := long.Decide(in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := fresh.Decide(in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got.TargetFreq, want.TargetFreq) || !slices.Equal(got.OnlineVec, want.OnlineVec) {
+						t.Fatalf("headroom %v step %d: long-lived oracle chose %v %v, fresh %v %v",
+							headroom, i, got.OnlineVec, got.TargetFreq, want.OnlineVec, want.TargetFreq)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestClusteredOracleDecide: the manager emits a valid clustered decision
+// on the heterogeneous platform — the configuration the homogeneous oracle
+// used to reject.
+func TestClusteredOracleDecide(t *testing.T) {
+	plat := platform.Nexus6P()
+	o, err := NewClusteredOracleForPlatform(plat, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := clusterViews(plat)
 	in := policy.Input{
 		Now:      time.Second,
 		Period:   50 * time.Millisecond,
@@ -157,6 +300,9 @@ func TestClusteredOracleDecide(t *testing.T) {
 // BenchmarkClusterOracle times one joint search on each multi-cluster
 // platform with its constants prebuilt, as ClusteredOracle holds them,
 // cycling through a fixed set of demands spread over the SoC's capacity.
+// Its 64 random demands never repeat back to back, and it calls the search
+// directly, so it measures the branch and bound's pruning, not
+// ClusteredOracle's repeated-demand memo.
 func BenchmarkClusterOracle(b *testing.B) {
 	for _, alias := range []string{"nexus6p", "sd855"} {
 		b.Run(alias, func(b *testing.B) {

@@ -30,8 +30,8 @@ func chooseClusterOperatingPointsRef(baseWatts float64, models []*power.Model, t
 	if baseWatts < 0 {
 		return nil, 0, errors.New("core: negative base watts")
 	}
-	if demandCyclesPerSec < 0 {
-		return nil, 0, errors.New("core: negative demand")
+	if !(demandCyclesPerSec >= 0) {
+		return nil, 0, errors.New("core: negative or NaN demand")
 	}
 	for ci := 0; ci < n; ci++ {
 		if models[ci] == nil || tables[ci] == nil || tables[ci].Len() == 0 {
@@ -159,48 +159,30 @@ func randomLeaf(rng *rand.Rand, s *clusterSearch) []int {
 	return idx
 }
 
-// TestClusterOracleMatchesExhaustive is the search's contract on every
-// platform profile (platform.All omits the multi-cluster ones): random
-// demands, zero, the whole SoC's capacity and just past it, twice it, every
-// option's exact c·f capacity and random candidates' exact joint capacities
-// (both of which put a leaf at utilization exactly 1 and force ties).
-// Pairs of identical or exactly scaled clusters add candidates that tie in
-// watts bits, so each tie-break rule decides some case too.
-func TestClusterOracleMatchesExhaustive(t *testing.T) {
+// oracleCase is one joint-search input: a platform's calibrated clusters
+// or a hand-built variant.
+type oracleCase struct {
+	name   string
+	base   float64
+	models []*power.Model
+	tables []*soc.OPPTable
+	counts []int
+}
+
+// oracleCases lists every platform profile (platform.All omits the
+// multi-cluster ones) and the hand-built variants. Pairs of identical or
+// exactly scaled clusters add candidates that tie in watts bits, so each
+// tie-break rule decides some case too.
+func oracleCases(t *testing.T) []oracleCase {
 	profiles := platform.Profiles()
-	check := func(t *testing.T, base float64, models []*power.Model, tables []*soc.OPPTable, counts []int) {
-		s, err := newClusterSearch(base, models, tables, counts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(1))
-		full := fullCapacity(s)
-		demands := []float64{0, full, math.Nextafter(full, math.Inf(1)), 2 * full}
-		for ci := range s.opts {
-			for _, o := range s.opts[ci] {
-				demands = append(demands, o.cf)
-			}
-		}
-		for i := 0; i < 100; i++ {
-			demands = append(demands, leafCapacity(s, randomLeaf(rng, s)))
-		}
-		for i := 0; i < 300; i++ {
-			demands = append(demands, rng.Float64()*1.1*full)
-		}
-		for _, d := range demands {
-			checkClusterOracle(t, base, models, tables, counts, d)
-		}
-	}
+	var cases []oracleCase
 	for _, alias := range slices.Sorted(maps.Keys(profiles)) {
-		t.Run(alias, func(t *testing.T) {
-			base, models, tables, counts := oracleParts(t, profiles[alias]())
-			check(t, base, models, tables, counts)
-		})
+		base, models, tables, counts := oracleParts(t, profiles[alias]())
+		cases = append(cases, oracleCase{alias, base, models, tables, counts})
 	}
-	t.Run("twin", func(t *testing.T) {
-		base, models, tables, counts := oracleParts(t, platform.Nexus5())
-		check(t, base, append(models, models[0]), append(tables, tables[0]), append(counts, counts[0]))
-	})
+	base, models, tables, counts := oracleParts(t, platform.Nexus5())
+	cases = append(cases, oracleCase{"twin", base,
+		append(models, models[0]), append(tables, tables[0]), append(counts, counts[0])})
 	// Ungated clusters built from the Nexus 5 calibration: a parked cluster
 	// prices at exactly zero, so candidates spread over different clusters
 	// tie in watts bits and the tie-break decides.
@@ -222,25 +204,125 @@ func TestClusterOracleMatchesExhaustive(t *testing.T) {
 		// one the walk met first on twice the cores, and fewer cores win.
 		{"half-twin", [2]soc.Hz{2, 1}, [2]float64{2, 1}, [2]int{2, 4}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			models := make([]*power.Model, 2)
-			tables := make([]*soc.OPPTable, 2)
-			for ci := range models {
-				models[ci], tables[ci] = ungatedNexus5Cluster(t, tc.clock[ci], tc.leak[ci])
+		models := make([]*power.Model, 2)
+		tables := make([]*soc.OPPTable, 2)
+		for ci := range models {
+			models[ci], tables[ci] = ungatedNexus5Cluster(t, tc.clock[ci], tc.leak[ci])
+		}
+		cases = append(cases, oracleCase{tc.name, platform.Nexus5().Power.BaseWatts, models, tables, tc.cores[:]})
+	}
+	return cases
+}
+
+// oracleDemands is the demand set each case is checked on: random demands,
+// zero, the whole SoC's capacity and just past it, twice it, every option's
+// exact c·f capacity and random candidates' exact joint capacities (both
+// of which put a leaf at utilization exactly 1 and force ties).
+func oracleDemands(s *clusterSearch, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	full := fullCapacity(s)
+	demands := []float64{0, full, math.Nextafter(full, math.Inf(1)), 2 * full}
+	for ci := range s.opts {
+		for _, o := range s.opts[ci] {
+			demands = append(demands, o.cf)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		demands = append(demands, leafCapacity(s, randomLeaf(rng, s)))
+	}
+	for i := 0; i < 300; i++ {
+		demands = append(demands, rng.Float64()*1.1*full)
+	}
+	return demands
+}
+
+// forEachOracleInput runs check on every case's demands, one subtest per
+// case, and on the "perturbed" subtest's 400 decoded inputs, whose power
+// parameters move the optimum across clusters so the bounds are exercised
+// away from the calibrated profiles too.
+func forEachOracleInput(t *testing.T, check func(t *testing.T, s *clusterSearch, c oracleCase, demand float64)) {
+	for _, c := range oracleCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := newClusterSearch(c.base, c.models, c.tables, c.counts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			check(t, platform.Nexus5().Power.BaseWatts, models, tables, tc.cores[:])
+			for _, d := range oracleDemands(s, 1) {
+				check(t, s, c, d)
+			}
 		})
 	}
-	// Perturbed power parameters move the optimum across clusters, so the
-	// bounds are exercised away from the calibrated profiles too.
 	t.Run("perturbed", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(2))
 		data := make([]byte, 64)
 		for i := 0; i < 400; i++ {
 			rng.Read(data)
-			base, models, tables, counts, demand := decodeClusterOracleInput(t, data)
-			checkClusterOracle(t, base, models, tables, counts, demand)
+			c := oracleCase{name: "perturbed"}
+			var demand float64
+			c.base, c.models, c.tables, c.counts, demand = decodeClusterOracleInput(t, data)
+			s, err := newClusterSearch(c.base, c.models, c.tables, c.counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, s, c, demand)
 		}
+	})
+}
+
+// TestClusterOracleMatchesExhaustive is the search's contract: on every
+// oracle case and demand the branch and bound returns the exhaustive
+// walk's choice and watts bits.
+func TestClusterOracleMatchesExhaustive(t *testing.T) {
+	forEachOracleInput(t, func(t *testing.T, _ *clusterSearch, c oracleCase, demand float64) {
+		checkClusterOracle(t, c.base, c.models, c.tables, c.counts, demand)
+	})
+}
+
+// TestClusterOracleBoundBelowLeaves checks the cut itself rather than its
+// outcome: at every internal node of the full walk, the bound the search
+// compares against the incumbent (the larger of the monotone bound and the
+// slackened energy-per-cycle bound) is at most the computed price of every
+// feasible leaf below it, and no feasible leaf sits below a node whose
+// capacity bound falls short of the demand.
+func TestClusterOracleBoundBelowLeaves(t *testing.T) {
+	forEachOracleInput(t, func(t *testing.T, s *clusterSearch, _ oracleCase, demand float64) {
+		if !s.inRange {
+			t.Fatal("price constants outside the energy-per-cycle bound's range: the check would not exercise it")
+		}
+		s.start(demand)
+		last := len(s.opts) - 1
+		var visit func(ci, cores int, capacity, stat, dyn, bound float64)
+		visit = func(ci, cores int, capacity, stat, dyn, bound float64) {
+			for k := range s.opts[ci] {
+				o := &s.opts[ci][k]
+				c, cp, st, dy := cores, capacity, stat+o.stat, dyn
+				if o.point.Cores > 0 {
+					c += o.point.Cores
+					cp += o.cf
+					dy += o.dyn
+				}
+				s.cur[ci] = k
+				if ci == last {
+					if c < 1 || cp < demand {
+						continue
+					}
+					if w := s.price(s.cur, cp); !(bound <= w) {
+						t.Fatalf("demand %v: leaf %v prices %v W below an ancestor's bound %v W", demand, s.cur, w, bound)
+					}
+					continue
+				}
+				tub := cp
+				for i := ci + 1; i < len(s.opts); i++ {
+					tub += s.maxCap[i]
+				}
+				b := math.Inf(1)
+				if !(tub < demand) {
+					b = max(bound, s.bound(ci, tub, cp, st, dy))
+				}
+				visit(ci+1, c, cp, st, dy, b)
+			}
+		}
+		visit(0, 0, 0, s.base, 0, math.Inf(-1))
 	})
 }
 

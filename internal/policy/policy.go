@@ -143,11 +143,11 @@ func (in Input) Validate() error {
 		return fmt.Errorf("policy: inconsistent input lengths util=%d online=%d freq=%d",
 			len(in.Util), len(in.Online), len(in.CurFreq))
 	}
-	if in.Quota <= 0 || in.Quota > 1 {
+	if !(in.Quota > 0 && in.Quota <= 1) {
 		return fmt.Errorf("policy: quota %v outside (0,1]", in.Quota)
 	}
 	for i, u := range in.Util {
-		if u < 0 || u > 1 {
+		if !(u >= 0 && u <= 1) {
 			return fmt.Errorf("policy: core %d utilization %v outside [0,1]", i, u)
 		}
 	}
@@ -255,7 +255,7 @@ func (d Decision) ValidateClustered(views []ClusterView, numCores int) error {
 	} else if d.OnlineCores < 1 || d.OnlineCores > numCores {
 		return fmt.Errorf("policy: online core target %d outside [1,%d]", d.OnlineCores, numCores)
 	}
-	if d.Quota <= 0 || d.Quota > 1 {
+	if !(d.Quota > 0 && d.Quota <= 1) {
 		return fmt.Errorf("policy: quota %v outside (0,1]", d.Quota)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -43,6 +44,8 @@ func TestInputValidate(t *testing.T) {
 		{"quota above one", func(in *Input) { in.Quota = 1.1 }},
 		{"util above one", func(in *Input) { in.Util[0] = 1.5 }},
 		{"negative util", func(in *Input) { in.Util[0] = -0.1 }},
+		{"NaN util", func(in *Input) { in.Util[0] = math.NaN() }},
+		{"NaN quota", func(in *Input) { in.Quota = math.NaN() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -89,6 +92,10 @@ func TestDecisionValidate(t *testing.T) {
 	bad.Quota = 0
 	if err := bad.Validate(tbl, 4); err == nil {
 		t.Error("zero quota accepted")
+	}
+	bad.Quota = math.NaN()
+	if err := bad.Validate(tbl, 4); err == nil {
+		t.Error("NaN quota accepted")
 	}
 }
 

@@ -178,6 +178,14 @@ func TestFreqChangeBreaksQuiescence(t *testing.T) {
 	if !stepOne(t, control) {
 		t.Error("control session (no-op decision) lost the fast path")
 	}
+	// The reprogram drops the memo's windows with their vouch, so tick 150
+	// records afresh and the new steady state replays from the next tick
+	// instead of waiting for stale slots to be overwritten one by one.
+	for tick := 151; tick <= 155; tick++ {
+		if !stepOne(t, changed) {
+			t.Errorf("tick %d after the reprogram did not replay", tick)
+		}
+	}
 }
 
 // TestHotplugBreaksQuiescence: parking a core invalidates every retained

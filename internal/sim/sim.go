@@ -859,7 +859,7 @@ func (s *Sim) samplePolicy() error {
 	// A decision that actually moved a core's online state changes the
 	// scheduling capacity and power inputs outside what the memo
 	// fingerprints: drop every retained window. Frequency moves already
-	// invalidated the CPU-side vouch inside applyFrequencies, and the
+	// invalidated the retained windows inside applyFrequencies, and the
 	// quota/pool refill is a per-tick Match input — so a no-op decision
 	// (the steady-state common case) keeps the ring armed straight across
 	// the sample boundary.
@@ -943,9 +943,11 @@ func (s *Sim) applyFrequencies() error {
 	if dirty {
 		// A reprogrammed core (thermal clamp engaging or releasing between
 		// samples) changes scheduling and power inputs the memo does not
-		// fingerprint: drop every retained window's CPU-side vouch, and
-		// refresh the snapshot mirror the scheduler trusts.
+		// fingerprint: drop every retained window, both its CPU-side vouch
+		// and the memo's recording, and refresh the snapshot mirror the
+		// scheduler trusts.
 		s.invalidateFast()
+		s.memo.Invalidate()
 		s.snap = s.cpu.SnapshotInto(s.snap)
 	}
 	return nil
